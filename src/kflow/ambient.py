@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartDomainError, GeodesicEscapeError, LogDivergenceError
+from .errors import ChartDomainError, LogDivergenceError
 
 # Complex structure of multiplication by i in coordinates (x1, y1, x2, y2);
 # column k is J applied to the k-th coordinate basis vector.
@@ -39,6 +39,9 @@ _C_BASIS = np.array(
         [0.0, 0.0, 1.0, 1.0j],
     ]
 )
+
+# Homogeneous slots of the two affine coordinates of each CP² chart.
+_SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 @dataclass(frozen=True)
@@ -303,9 +306,13 @@ class FubiniStudyCP2(AmbientModel):
 
     The metric comes from the Kähler potential log(1 + |z|²) with the real
     normalization g(U, V) = Re(g_{i jbar} u^i conj(v^j)), which makes the
-    metric at each chart origin the identity.  The (constant) scalar
-    curvature is computed numerically at construction and stored; tests
-    compare against this stored value, never a literature constant.
+    metric at each chart origin the identity.  Connection, curvature,
+    geodesics and distance are closed forms: the Kähler connection
+    Gamma^k_ij = -(delta^k_i zbar_j + delta^k_j zbar_i) / (1 + |z|²), and
+    geodesics as horizontal great circles of the unit sphere S⁵ in C³ pushed
+    down by the Hopf map.  The (constant) scalar curvature is computed from
+    the connection on first use and stored; tests compare against this
+    stored value, never a literature constant.
     """
 
     name = "Fubini-Study-CP2"
@@ -314,9 +321,6 @@ class FubiniStudyCP2(AmbientModel):
     transition_radius = 2.0  # max |z_i| triggering a chart change
     validity_radius = 2.5  # hard bound of the declared validity region
     injectivity_radius_bound = 1.5  # conservative; true value is pi/2 here
-
-    _FD_STEP_METRIC = 1e-4  # step for Christoffels (4th-order central)
-    _FD_STEP_GAMMA = 1e-3  # step for curvature (differences of Christoffels)
 
     def chart_valid(self, x, chart):
         z = to_complex(x)
@@ -329,58 +333,51 @@ class FubiniStudyCP2(AmbientModel):
         """Insert 1 in slot `chart`, filling the others with z in order."""
         lead = z.shape[:-1]
         h = np.empty(lead + (3,), dtype=complex)
-        slots = [s for s in range(3) if s != chart]
         h[..., chart] = 1.0
-        h[..., slots[0]] = z[..., 0]
-        h[..., slots[1]] = z[..., 1]
+        h[..., _SLOTS[chart]] = z
         return h
 
     @staticmethod
     def _homogeneous_velocity(u, chart):
-        lead = u.shape[:-1]
-        dh = np.zeros(lead + (3,), dtype=complex)
-        slots = [s for s in range(3) if s != chart]
-        dh[..., slots[0]] = u[..., 0]
-        dh[..., slots[1]] = u[..., 1]
+        dh = np.zeros(u.shape[:-1] + (3,), dtype=complex)
+        dh[..., _SLOTS[chart]] = u
         return dh
+
+    @staticmethod
+    def _affine(h, chart):
+        """Complex chart coordinates of homogeneous points; `chart` is one
+        id or an array of per-point ids."""
+        chart = np.broadcast_to(chart, h.shape[:-1])
+        pivot = np.take_along_axis(h, chart[..., None], axis=-1)
+        return np.take_along_axis(h, _SLOTS[chart], axis=-1) / pivot
+
+    @staticmethod
+    def _push_down(h, dh, chart):
+        """Chart components of the homogeneous velocity dh at h."""
+        slots = _SLOTS[chart]
+        pivot, dpivot = h[..., chart, None], dh[..., chart, None]
+        return from_complex((dh[..., slots] * pivot - h[..., slots] * dpivot) / pivot**2)
 
     def to_chart(self, x, chart_from, chart_to):
         if chart_from == chart_to:
             return np.asarray(x, dtype=float).copy()
         h = self._homogeneous(to_complex(x), chart_from)
-        slots = [s for s in range(3) if s != chart_to]
-        denom = h[..., chart_to]
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.stack([h[..., slots[0]] / denom, h[..., slots[1]] / denom], axis=-1)
-        return from_complex(z)
+            return from_complex(self._affine(h, chart_to))
 
     def push_forward(self, x, v, chart_from, chart_to):
         if chart_from == chart_to:
             return np.asarray(v, dtype=float).copy()
-        z = to_complex(x)
-        u = to_complex(v)
-        h = self._homogeneous(z, chart_from)
-        dh = self._homogeneous_velocity(u, chart_from)
-        slots = [s for s in range(3) if s != chart_to]
-        denom = h[..., chart_to]
-        ddenom = dh[..., chart_to]
-        parts = [
-            (dh[..., s] * denom - h[..., s] * ddenom) / denom**2 for s in slots
-        ]
-        return from_complex(np.stack(parts, axis=-1))
+        h = self._homogeneous(to_complex(x), chart_from)
+        dh = self._homogeneous_velocity(to_complex(v), chart_from)
+        return self._push_down(h, dh, chart_to)
 
     def preferred_chart(self, x, chart):
         """Chart maximizing the homogeneous pivot, i.e. minimizing max|z|."""
         x = np.asarray(x, dtype=float)
         h = self._homogeneous(to_complex(x), chart)
         best = np.argmax(np.abs(h), axis=-1)
-        out_x = np.empty_like(x)
-        out_c = best.astype(int)
-        for c in range(3):
-            mask = best == c
-            if np.any(mask):
-                out_x[mask] = self.to_chart(x[mask], chart, c)
-        return out_c, out_x
+        return best, from_complex(self._affine(h, best))
 
     def local_coords(self, center_x, center_chart, q_x, q_chart):
         center_chart = int(center_chart)
@@ -416,46 +413,37 @@ class FubiniStudyCP2(AmbientModel):
                 out[..., 2 * k + 1, 2 * l + 1] = re[..., k, l]
         return out
 
-    def christoffel(self, x, chart):
-        x = np.asarray(x, dtype=float)
-        h = self._FD_STEP_METRIC
-        dg = np.empty(x.shape[:-1] + (4, 4, 4))
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = h
-            dg[..., c, :, :] = (
-                -self.metric(x + 2 * e, chart)
-                + 8 * self.metric(x + e, chart)
-                - 8 * self.metric(x - e, chart)
-                + self.metric(x - 2 * e, chart)
-            ) / (12 * h)
-        ginv = np.linalg.inv(self.metric(x, chart))
-        return self._christoffel_from_dg(ginv, dg)
+    @staticmethod
+    def _connection(z):
+        """Complex Christoffel components Gamma(C_b, C_c)^k, indexed
+        [..., k, b, c], with s_a = zbar . C_a and 1 + |z|²."""
+        s = np.conj(z) @ _C_BASIS
+        denom = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None, None]
+        # Gamma(u, w)^k = -(u^k (zbar . w) + w^k (zbar . u)) / (1 + |z|²)
+        t = _C_BASIS[:, :, None] * s[..., None, None, :]
+        return -(t + np.swapaxes(t, -1, -2)) / denom, s, denom
 
     @staticmethod
-    def _christoffel_from_dg(ginv, dg):
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-        term = (
-            np.einsum("...ilj->...lij", dg)
-            + np.einsum("...jli->...lij", dg)
-            - np.einsum("...lij->...lij", dg)
-        )
-        return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+    def _real_components(w):
+        """Real coordinate components of complex tangent components held on
+        axis -3 (the inverse of _C_BASIS on that axis)."""
+        return np.stack([w.real, w.imag], axis=-3).reshape(w.shape[:-3] + (4,) + w.shape[-2:])
+
+    def christoffel(self, x, chart):
+        gamma_c, _, _ = self._connection(to_complex(x))
+        return self._real_components(gamma_c)
 
     def curvature(self, x, chart):
         x = np.asarray(x, dtype=float)
-        h = self._FD_STEP_GAMMA
-        gamma = self.christoffel(x, chart)
-        dgamma = np.empty(x.shape[:-1] + (4, 4, 4, 4))
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = h
-            dgamma[..., c, :, :, :] = (
-                -self.christoffel(x + 2 * e, chart)
-                + 8 * self.christoffel(x + e, chart)
-                - 8 * self.christoffel(x - e, chart)
-                + self.christoffel(x - 2 * e, chart)
-            ) / (12 * h)
+        gamma_c, s, denom = self._connection(to_complex(x))
+        gamma = self._real_components(gamma_c)
+        # d_a (zbar . C_c) = sum_j conj(C_ja) C_jc and d_a (1 + |z|²) = 2 Re s_a,
+        # so d_a Gamma^k_bc = -(C_kb M_ac + C_kc M_ab + 2 Re s_a Gamma^k_bc) / (1 + |z|²).
+        m = np.conj(_C_BASIS).T @ _C_BASIS
+        t = _C_BASIS[None, :, :, None] * m[:, None, None, :]
+        ds = 2.0 * s.real[..., :, None, None, None] * gamma_c[..., None, :, :, :]
+        dgamma_c = -(t + np.swapaxes(t, -1, -2) + ds) / denom[..., None, :, :, :]
+        dgamma = self._real_components(dgamma_c)
         # R(e_a, e_b) e_c = Rup[..., u, c, a, b] e_u
         rup = (
             np.einsum("...aubc->...ucab", dgamma)
@@ -477,99 +465,49 @@ class FubiniStudyCP2(AmbientModel):
 
     # -- geodesics --------------------------------------------------------
 
-    def _geodesic_rhs(self, x, u, chart):
-        gamma = self.christoffel(x, chart)
-        acc = -np.einsum("...kij,...i,...j->...k", gamma, u, u)
-        return u, acc
+    def _project(self, psi, chart):
+        """Chart coordinates and ids of the lines psi: `chart` where every
+        coordinate stays within transition_radius, the pivot chart elsewhere."""
+        charts = np.full(psi.shape[:-1], int(chart))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = ~(np.max(np.abs(self._affine(psi, charts)), axis=-1) <= self.transition_radius)
+        charts[far] = np.argmax(np.abs(psi[far]), axis=-1)
+        return from_complex(self._affine(psi, charts)), charts
 
     def exp(self, x, chart, v, s):
-        """Classical 4th-order one-step integration of the geodesic ODE with
-        fixed arc-length substeps of i_M/1000; chart transitions applied
-        between substeps."""
-        x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-        v = np.atleast_2d(np.asarray(v, dtype=float)).copy()
-        charts = np.broadcast_to(np.asarray(chart, dtype=int), x.shape[:-1]).copy()
+        """Batched geodesic exponential.  (x, v) lifts to psi = h/|h| on S⁵
+        and the horizontal xi = (dh - psi <dh, psi>)/|h| with |xi| = |v|_g;
+        the great circle cos(s|xi|) psi + sin(s|xi|) xi/|xi| projects back."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        h = self._homogeneous(to_complex(x), chart)
+        dh = self._homogeneous_velocity(to_complex(v), chart)
+        hn = np.linalg.norm(h, axis=-1, keepdims=True)
+        psi = h / hn
+        xi = (dh - psi * np.sum(dh * np.conj(psi), axis=-1, keepdims=True)) / hn
         s = float(s)
-        speed = np.zeros(x.shape[:-1])
-        for c in np.unique(charts):
-            m = charts == c
-            speed[m] = self.norm(x[m], int(c), v[m])
-        arclen = float(np.max(speed) * abs(s))
-        if arclen == 0.0 or s == 0.0:
-            return x, charts
-        nsteps = max(1, int(np.ceil(arclen / (self.injectivity_radius_bound / 300))))
-        dt = s / nsteps
-        for _ in range(nsteps):
-            for c in np.unique(charts):
-                m = charts == c
-                xm, um = x[m], v[m]
-                k1x, k1u = self._geodesic_rhs(xm, um, int(c))
-                k2x, k2u = self._geodesic_rhs(xm + 0.5 * dt * k1x, um + 0.5 * dt * k1u, int(c))
-                k3x, k3u = self._geodesic_rhs(xm + 0.5 * dt * k2x, um + 0.5 * dt * k2u, int(c))
-                k4x, k4u = self._geodesic_rhs(xm + dt * k3x, um + dt * k3u, int(c))
-                x[m] = xm + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-                v[m] = um + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            # transition nodes that crossed the chart boundary
-            big = np.max(np.abs(to_complex(x)), axis=-1) > self.transition_radius
-            if np.any(big):
-                for c in np.unique(charts[big]):
-                    m = big & (charts == c)
-                    newc, newx = self.preferred_chart(x[m], int(c))
-                    moved = newc != c
-                    if np.any(moved):
-                        idx = np.where(m)[0][moved]
-                        x_old = x[idx].copy()
-                        for tc in np.unique(newc[moved]):
-                            sub = idx[newc[moved] == tc]
-                            v[sub] = self.push_forward(x_old[newc[moved] == tc], v[sub], int(c), int(tc))
-                        x[idx] = newx[moved]
-                        charts[idx] = newc[moved]
-            if np.any(np.max(np.abs(to_complex(x)), axis=-1) > 50.0):
-                raise GeodesicEscapeError(
-                    "geodesic integration left every chart validity region"
-                )
-        return x, charts
+        theta = s * np.linalg.norm(xi, axis=-1, keepdims=True)
+        return self._project(np.cos(theta) * psi + s * np.sinc(theta / np.pi) * xi, chart)
 
-    def log(self, p, q, max_iter=30, tol=1e-11):
-        """Geodesic shooting: Newton iteration on the initial velocity with
-        a batched finite-difference Jacobian of the endpoint map."""
+    def log(self, p, q):
+        """Closed-form inverse of exp: the great circle from psi_p to the
+        phase of psi_q nearest it, xi = d (psi_q - cos d psi_p) / sin d,
+        pushed down to p's chart."""
         self._require_valid(p)
-        dist = float(self.distance(p.x[None], p.chart_id, q.x[None], q.chart_id)[0])
+        h_p = self._homogeneous(to_complex(p.x), p.chart_id)
+        h_q = self._homogeneous(to_complex(q.x), q.chart_id)
+        psi_p = h_p / np.linalg.norm(h_p)
+        psi_q = h_q / np.linalg.norm(h_q)
+        inner = np.vdot(psi_p, psi_q)
+        cos_d = abs(inner)
+        dist = float(np.arccos(min(cos_d, 1.0)))
         if dist >= self.injectivity_radius_bound:
             raise LogDivergenceError(
                 f"points at distance {dist:.4f} >= injectivity bound"
             )
-        q_coords = self.to_chart(q.x[None], q.chart_id, p.chart_id)[0]
-        v = (q_coords - p.x).copy()
-        base = np.broadcast_to(p.x, (5, 4))
-        res_norm = np.inf
-        for _ in range(max_iter):
-            fd = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-            V = np.concatenate([v[None], v[None] + fd * np.eye(4)])
-            ex, ec = self.exp(base, p.chart_id, V, 1.0)
-            e_here = self.local_coords(p.x[None], p.chart_id, ex, ec)
-            r = q_coords - e_here[0]
-            res_norm = float(np.linalg.norm(r))
-            if res_norm < tol:
-                return TangentVector(base=p, v=v)
-            jac = (e_here[1:] - e_here[0]).T / fd  # columns: d exp / d v_a
-            try:
-                dv = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                dv = r
-            # backtrack on the step if the residual would grow
-            scale = 1.0
-            for _ in range(6):
-                ex2, ec2 = self.exp(p.x[None], p.chart_id, (v + scale * dv)[None], 1.0)
-                e2 = self.local_coords(p.x[None], p.chart_id, ex2, ec2)[0]
-                if np.linalg.norm(q_coords - e2) < res_norm:
-                    break
-                scale *= 0.5
-            v = v + scale * dv
-        raise LogDivergenceError(
-            f"log map failed to converge; last residual {res_norm:.3e}",
-            last_residual=res_norm,
-        )
+        w = psi_q * (np.conj(inner) / cos_d) - cos_d * psi_p
+        d = np.arctan2(np.linalg.norm(w), cos_d)
+        return TangentVector(base=p, v=self._push_down(psi_p, w / np.sinc(d / np.pi), p.chart_id))
 
     def distance(self, x1, chart1, x2, chart2):
         h1 = self._homogeneous(to_complex(np.asarray(x1, dtype=float)), int(chart1))
@@ -599,22 +537,6 @@ def get_model(name, **kwargs) -> AmbientModel:
 
 
 # -- spec-level scalar operations ----------------------------------------
-
-
-def metric_at(model: AmbientModel, p: ChartPoint):
-    model._require_valid(p)
-    return model.metric(p.x[None], p.chart_id)[0]
-
-
-def christoffel_at(model: AmbientModel, p: ChartPoint):
-    model._require_valid(p)
-    return model.christoffel(p.x[None], p.chart_id)[0]
-
-
-def curvature_at(model: AmbientModel, p: ChartPoint):
-    model._require_valid(p)
-    riemann, ricci, scalar = model.curvature(p.x[None], p.chart_id)
-    return riemann[0], ricci[0], float(scalar[0])
 
 
 def exp_map(model: AmbientModel, p: ChartPoint, v: TangentVector, s: float) -> ChartPoint:

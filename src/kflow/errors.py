@@ -9,16 +9,8 @@ class ChartDomainError(KflowError):
     """A point lies outside the validity region of its coordinate chart."""
 
 
-class GeodesicEscapeError(KflowError):
-    """A geodesic (or a flowing node) left every chart's validity region."""
-
-
 class LogDivergenceError(KflowError):
-    """Shooting iteration for the log map failed to converge."""
-
-    def __init__(self, message, last_residual=None):
-        super().__init__(message)
-        self.last_residual = last_residual
+    """The log map was asked for points at or beyond the injectivity bound."""
 
 
 class DegenerateImmersionError(KflowError):

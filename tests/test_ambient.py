@@ -204,3 +204,119 @@ def test_preferred_chart_keeps_point_fixed(seed):
     d = cp2.distance(x, 0, x2, int(c2[0]))
     assert float(d[0]) < 1e-7
     assert np.max(np.abs(to_complex(x2))) <= np.sqrt(2.0) + 1e-9
+
+
+# -- closed-form Fubini-Study connection, curvature and geodesics ----------
+
+
+def _fd_christoffel(model, x, chart, h=1e-4):
+    """Levi-Civita symbols from a 4th-order central difference of the metric."""
+    dg = np.empty(x.shape[:-1] + (4, 4, 4))
+    for c in range(4):
+        e = np.zeros(4)
+        e[c] = h
+        dg[..., c, :, :] = (
+            -model.metric(x + 2 * e, chart)
+            + 8 * model.metric(x + e, chart)
+            - 8 * model.metric(x - e, chart)
+            + model.metric(x - 2 * e, chart)
+        ) / (12 * h)
+    term = (
+        np.einsum("...ilj->...lij", dg)
+        + np.einsum("...jli->...lij", dg)
+        - np.einsum("...lij->...lij", dg)
+    )
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(model.metric(x, chart)), term)
+
+
+def _fd_riemann(model, x, chart, h=1e-3):
+    """R_{abcd} from a 4th-order central difference of model.christoffel."""
+    dgamma = np.empty(x.shape[:-1] + (4, 4, 4, 4))
+    for c in range(4):
+        e = np.zeros(4)
+        e[c] = h
+        dgamma[..., c, :, :, :] = (
+            -model.christoffel(x + 2 * e, chart)
+            + 8 * model.christoffel(x + e, chart)
+            - 8 * model.christoffel(x - e, chart)
+            + model.christoffel(x - 2 * e, chart)
+        ) / (12 * h)
+    gamma = model.christoffel(x, chart)
+    rup = (
+        np.einsum("...aubc->...ucab", dgamma)
+        - np.einsum("...buac->...ucab", dgamma)
+        + np.einsum("...uam,...mbc->...ucab", gamma, gamma)
+        - np.einsum("...ubm,...mac->...ucab", gamma, gamma)
+    )
+    return np.einsum("...ud,...ucab->...abcd", model.metric(x, chart), rup)
+
+
+@pytest.mark.parametrize("chart", [0, 1, 2])
+def test_fs_christoffel_matches_fd_of_metric(chart):
+    cp2 = get_model("Fubini-Study-CP2")
+    x = np.random.default_rng(20 + chart).uniform(-1.5, 1.5, size=(30, 4))
+    assert np.abs(cp2.christoffel(x, chart) - _fd_christoffel(cp2, x, chart)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("chart", [0, 1, 2])
+def test_fs_riemann_matches_fd_of_christoffel(chart):
+    cp2 = get_model("Fubini-Study-CP2")
+    x = np.random.default_rng(30 + chart).uniform(-1.5, 1.5, size=(20, 4))
+    riemann, _, _ = cp2.curvature(x, chart)
+    assert np.abs(riemann - _fd_riemann(cp2, x, chart)).max() <= 1e-8
+
+
+def test_fs_scalar_curvature_is_24_in_every_chart():
+    cp2 = get_model("Fubini-Study-CP2")
+    assert abs(cp2.scalar_curvature - 24.0) <= 1e-12
+    x = np.random.default_rng(40).uniform(-2.0, 2.0, size=(50, 4))
+    for chart in range(3):
+        _, _, scal = cp2.curvature(x, chart)
+        assert np.abs(scal - 24.0).max() <= 1e-12
+
+
+def test_fs_exp_log_roundtrip_across_chart_changes():
+    """Round trip to 1e-12 for |v| up to 1.4, from base points near the
+    transition radius so that many geodesics end in another chart."""
+    cp2 = get_model("Fubini-Study-CP2")
+    rng = np.random.default_rng(50)
+    changed = 0
+    for k in range(60):
+        chart = k % 3
+        z = rng.normal(size=4)
+        x = rng.uniform(0.0, 1.9) * z / np.max(np.abs(to_complex(z)))
+        v = rng.normal(size=4)
+        v = rng.uniform(0.05, 1.4) * v / cp2.norm(x, chart, v)
+        xs, cs = cp2.exp(x[None], chart, v[None], 1.0)
+        changed += int(cs[0] != chart)
+        p = ChartPoint(chart, x)
+        w = cp2.log(p, ChartPoint(int(cs[0]), xs[0])).v
+        assert np.abs(w - v).max() <= 1e-12
+        assert np.max(np.abs(to_complex(xs[0]))) <= cp2.transition_radius
+    assert changed >= 10
+
+
+def test_fs_exp_matches_rk4_geodesic_ode():
+    """exp against RK4 integration of x'' = -Gamma(x', x') in one chart."""
+    cp2 = get_model("Fubini-Study-CP2")
+    rng = np.random.default_rng(60)
+    x0 = rng.uniform(-0.5, 0.5, size=(12, 4))
+    v0 = rng.normal(size=(12, 4))
+    v0 *= rng.uniform(0.2, 1.0, size=(12, 1)) / cp2.norm(x0, 0, v0)[:, None]
+
+    def rhs(x, u):
+        return u, -np.einsum("...kij,...i,...j->...k", cp2.christoffel(x, 0), u, u)
+
+    x, u = x0.copy(), v0.copy()
+    n = 400
+    dt = 1.0 / n
+    for _ in range(n):
+        k1 = rhs(x, u)
+        k2 = rhs(x + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+        k3 = rhs(x + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+        k4 = rhs(x + dt * k3[0], u + dt * k3[1])
+        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    xs, cs = cp2.exp(x0, 0, v0, 1.0)
+    assert np.all(cs == 0)
+    assert np.abs(xs - x).max() <= 1e-8
