@@ -24,7 +24,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
 from .errors import ConfigError, DegenerateImmersionError
-from .immersion import SurfaceGrid, compute_geometry, compute_mean_curvature, grid_partials
+from .immersion import (SurfaceGrid, _per_chart, _stencil, compute_geometry,
+                        compute_mean_curvature, grid_partials)
 
 # Largest |z| (real-axis) with |R(z)| <= 1 for classical RK4.
 _RK4_REAL_LIMIT = 2.785
@@ -101,13 +102,6 @@ def resolved_spacing(grid: SurfaceGrid, info) -> float:
     return float(min(hv.min(), hu.min(axis=0).max()))
 
 
-def _zonal_filter_mask(grid: SurfaceGrid, info, dt: float):
-    """Boolean keep-mask (nu//2 + 1, nv) for rfft modes of the velocity
-    along u, or None when nothing needs filtering."""
-    mask, _ = _zonal_filter(grid, info, dt)
-    return mask
-
-
 def _zonal_filter(grid: SurfaceGrid, info, dt: float):
     """Stability treatment of the stiff azimuthal modes on sphere grids.
 
@@ -132,7 +126,7 @@ def _zonal_filter(grid: SurfaceGrid, info, dt: float):
     budget = _FILTER_SAFETY * _RK4_REAL_LIMIT / dt
     rate = a_row[None, :] * _D2_SYMBOL(k * grid.du)[:, None]
     keep = rate + c_row[None, :] <= budget
-    mixed = np.array([len(np.unique(grid.chart_ids[:, j])) > 1 for j in range(grid.nv)])
+    mixed = (grid.chart_ids != grid.chart_ids[:1]).any(axis=0)
     keep[:, mixed] = True
     if keep.all():
         return None, None
@@ -225,14 +219,9 @@ def redistribute(state: FlowState, strength: float) -> FlowState:
     if strength == 0.0:
         return state
     grid = state.grid.copy()
-    from .immersion import gather_neighbor_coords
-
-    avg = (
-        gather_neighbor_coords(grid, 1, 0)
-        + gather_neighbor_coords(grid, -1, 0)
-        + gather_neighbor_coords(grid, 0, 1)
-        + gather_neighbor_coords(grid, 0, -1)
-    ) / 4.0
+    (avg,) = _stencil(
+        grid, lambda nb: ((nb(1, 0) + nb(-1, 0) + nb(0, 1) + nb(0, -1)) / 4.0,)
+    )
     disp = avg - grid.coords
     Fu, Fv, *_ = grid_partials(grid)
     model = grid.model
@@ -243,8 +232,6 @@ def redistribute(state: FlowState, strength: float) -> FlowState:
         g12 = np.einsum("...a,...a->...", Fu, Fv)
         g22 = np.einsum("...a,...a->...", Fv, Fv)
     else:
-        from .immersion import _per_chart
-
         Gm = _per_chart(model, grid.chart_ids, grid.coords, model.metric)
         GFu = np.einsum("...ab,...b->...a", Gm, Fu)
         GFv = np.einsum("...ab,...b->...a", Gm, Fv)
@@ -266,7 +253,7 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     diagnostics_stride steps and a snapshot every snapshot_stride steps."""
     state = FlowState(grid=initial.copy())
     try:
-        geom0 = compute_geometry(state.grid, floor=config.floor)
+        geom = compute_geometry(state.grid, floor=config.floor)
     except DegenerateImmersionError:
         return FlowResult(
             records=[],
@@ -275,7 +262,7 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
             state=state,
             holomorphicity_gap=None,
         )
-    rec = record(state.grid, state.t, geom=geom0)
+    rec = record(state.grid, state.t, geom=geom)  # geom stays that of records[-1]
     records = [rec]
     snapshots = [(state.grid.copy(), state.t)]
     threshold = config.blowup_threshold
@@ -325,8 +312,8 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
         stop = "reached-t-end"
     if stop in ("converged", "reached-t-end"):
         try:
-            geom = compute_geometry(state.grid, floor=config.floor)
-            if records[-1].t < state.t - 1e-15 or len(records) == 0:
+            if records[-1].t < state.t - 1e-15:
+                geom = compute_geometry(state.grid, floor=config.floor)
                 records.append(record(state.grid, state.t, geom=geom, prev=records[-1]))
             gap = float(np.max(np.abs(1.0 - geom.cos_alpha)))
         except DegenerateImmersionError:

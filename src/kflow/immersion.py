@@ -4,8 +4,12 @@ A surface is a logically rectangular nu x nv grid of chart points.  Torus
 topology is doubly periodic on [0, 2pi)^2; sphere topology uses a staggered
 latitude-longitude grid, v_j = (j + 1/2) pi / nv, with ghost values across
 the poles obtained by the half-period longitude shift.  All derivatives are
-4th-order central differences; neighbors are re-expressed in the center
-node's chart before differencing, so grids may span several charts.
+6th-order (7-point) central differences, taken by slicing the coordinates
+padded once with 3 ghost nodes on each side (pole reflection plus a
+half-turn in u on spheres, periodic or quasi-periodic on tori).  On curved
+models the coordinates are first lifted into every chart that occurs, and
+each node differences the lift into its own chart, so grids may span
+several charts.
 
 Flat models additionally support quasi-periodic grids (period_offsets): the
 surface closes up to a fixed ambient translation per parameter period.  This
@@ -106,85 +110,112 @@ class SurfaceGrid:
         return ChartPoint(int(self.chart_ids[i, j]), self.coords[i, j])
 
 
-_INDEX_CACHE: dict = {}
+_G = 3  # ghost width: the half-width of the 7-point stencils
 
 
-def _neighbor_index(grid: SurfaceGrid, a, b):
-    """Logical neighbor (i+a, j+b) -> (iu, jv, wrap_u, wrap_v) index arrays."""
-    nu, nv = grid.nu, grid.nv
-    key = (grid.topology, nu, nv, a, b)
-    if key in _INDEX_CACHE:
-        return _INDEX_CACHE[key]
-    i = np.arange(nu)[:, None] + a
-    j = np.broadcast_to(np.arange(nv)[None, :] + b, (nu, nv)).copy()
-    i = np.broadcast_to(i, (nu, nv)).copy()
-    wu = np.floor_divide(i, nu)
-    iu = i - wu * nu
+def _pad(grid: SurfaceGrid, x, parity=1, offsets=None):
+    """Nodal array (nu, nv, ...) with ghost nodes: _G on each side in v and
+    _G + 1 in u (the extra one keeps every block of `_shifted` in range).
+
+    Sphere ghosts in v reflect across the pole with a half-turn in u and are
+    multiplied by `parity`; torus ghosts are periodic.  `offsets` (2, 4)
+    shift the ghosts of a quasi-periodic grid, the u offset first.
+    """
+    nu, nv, g = grid.nu, grid.nv, _G
+    if grid.topology == "sphere":
+        turned = parity * np.roll(x, nu // 2, axis=0)
+        x = np.concatenate([turned[:, g - 1 :: -1], x, turned[:, : -g - 1 : -1]], axis=1)
+    i = np.arange(-g - 1, nu + g + 1)
+    x = x[i % nu]
+    if offsets is not None:
+        x = x + (i // nu)[:, None, None] * offsets[0]
     if grid.topology == "torus":
-        wv = np.floor_divide(j, nv)
-        jv = j - wv * nv
-    else:
-        wv = np.zeros_like(j)
-        jv = j.copy()
-        below = jv < 0
-        above = jv >= nv
-        jv[below] = -1 - jv[below]
-        jv[above] = 2 * nv - 1 - jv[above]
-        shift = below | above
-        iu[shift] = (iu[shift] + nu // 2) % nu
-    _INDEX_CACHE[key] = (iu, jv, wu, wv)
-    return iu, jv, wu, wv
+        j = np.arange(-g, nv + g)
+        x = x[:, j % nv]
+        if offsets is not None:
+            x = x + (j // nv)[:, None] * offsets[1]
+    return x
 
 
-def gather_neighbor_coords(grid: SurfaceGrid, a, b):
-    """Coordinates of node (i+a, j+b) expressed in node (i, j)'s chart."""
-    iu, jv, wu, wv = _neighbor_index(grid, a, b)
-    qx = grid.coords[iu, jv]
-    model = grid.model
-    if model.is_flat:
-        if model.n_charts == 1 and hasattr(model, "min_image"):
-            out = grid.coords + model.min_image(qx - grid.coords)
-        else:
-            out = qx
-    else:
-        qc = grid.chart_ids[iu, jv]
-        cc = grid.chart_ids
-        out = np.empty_like(qx)
-        for c in np.unique(cc):
-            m = cc == c
-            out[m] = model.local_coords(grid.coords[m], int(c), qx[m], qc[m])
-    if grid.period_offsets is not None:
-        out = out + wu[..., None] * grid.period_offsets[0]
-        out = out + wv[..., None] * grid.period_offsets[1]
+def _shifted(P, nu):
+    """nb(a, b): the padded array P at the logical neighbour (i + a, j + b)
+    of every node, as one contiguous block of the flattened P.  A block
+    also holds entries for the ghost positions in v; `_nodes` drops them."""
+    width = P.shape[1]
+    flat = P.reshape((-1,) + P.shape[2:])
+
+    def nb(a, b):
+        start = (_G + 1 + a) * width + b
+        return flat[start : start + nu * width]
+
+    return nb
+
+
+def _nodes(block, nu):
+    """The (nu, nv, ...) node values of a block of `_shifted`."""
+    width = len(block) // nu
+    return block.reshape((nu, width) + block.shape[1:])[:, _G : width - _G]
+
+
+def _weighted(pairs):
+    """Sum of c * x over the (c, x) pairs with c != 0, added in order."""
+    out = term = None
+    for c, x in pairs:
+        if c != 0.0:
+            if out is None:
+                out, term = np.zeros_like(x), np.empty_like(x)
+            out += np.multiply(x, c, out=term)
     return out
 
 
-def gather_neighbor_scalar(grid: SurfaceGrid, f, a, b, pole_parity=1):
-    """Values of a scalar field at logical neighbor (i+a, j+b).
+def _padded_lifts(grid: SurfaceGrid):
+    """(mask of the nodes in chart c, every node lifted into chart c and
+    padded) for each chart c that occurs; the mask is None on a
+    single-chart grid.  Lift entries far from every node of chart c may be
+    non-finite: only the nodes of chart c take values from that lift, and
+    their stencils never reach such entries."""
+    charts = grid.chart_ids
+    present = np.flatnonzero(np.bincount(charts.ravel()))
+    if len(present) == 1:
+        return [(None, _pad(grid, grid.coords, offsets=grid.period_offsets))]
+    lifts = []
+    for c in present:
+        lift = np.empty_like(grid.coords)
+        for s in present:
+            m = charts == s
+            lift[m] = grid.model.to_chart(grid.coords[m], int(s), int(c))
+        lifts.append((charts == c, _pad(grid, lift)))
+    return lifts
 
-    pole_parity = -1 flips the sign of ghost values reflected across a pole
-    (needed for v-components of vector densities on sphere grids).
-    """
-    iu, jv, wu, wv = _neighbor_index(grid, a, b)
-    vals = np.asarray(f)[iu, jv]
-    if grid.topology == "sphere" and pole_parity == -1:
-        nv = grid.nv
-        j = np.arange(nv)[None, :] + b
-        reflected = (j < 0) | (j >= nv)
-        vals = np.where(np.broadcast_to(reflected, vals.shape), -vals, vals)
-    return vals
+
+def _stencil(grid: SurfaceGrid, fn):
+    """Node values of fn(nb), a tuple of stencil sums over the blocks nb(a, b)
+    of `_shifted`, on each padded lift; every node takes the values
+    computed in its own chart.  On flat T4, nb(a, b) is
+    centre + min_image(neighbour - centre), as in `local_coords`."""
+    min_image = getattr(grid.model, "min_image", None)
+    out = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for mask, P in _padded_lifts(grid):
+            nb = _shifted(P, grid.nu)
+            if min_image is not None:
+                shifted, centre = nb, nb(0, 0)
+                nb = lambda a, b: centre + min_image(shifted(a, b) - centre)
+            vals = tuple(_nodes(v, grid.nu) for v in fn(nb))
+            out = vals if out is None else tuple(
+                np.where(mask[..., None], v, o) for v, o in zip(vals, out)
+            )
+    return out
 
 
 def field_deriv(grid: SurfaceGrid, f, axis, pole_parity=1):
-    """4th-order derivative of a scalar field wrt the parameter on `axis`."""
+    """6th-order (7-point) derivative of a scalar field wrt the parameter on
+    `axis`.  pole_parity = -1 flips the sign of the ghost values reflected
+    across a pole (v-components of vector densities on sphere grids)."""
     h = grid.du if axis == 0 else grid.dv
-    out = np.zeros_like(np.asarray(f, dtype=float))
-    for off, c in zip(_OFFS, _D1):
-        if c == 0.0:
-            continue
-        a, b = (off, 0) if axis == 0 else (0, off)
-        out += c * gather_neighbor_scalar(grid, f, a, b, pole_parity)
-    return out / h
+    nb = _shifted(_pad(grid, np.asarray(f, dtype=float), parity=pole_parity), grid.nu)
+    shifted = [nb(off, 0) if axis == 0 else nb(0, off) for off in _OFFS]
+    return _nodes(_weighted(zip(_D1, shifted)), grid.nu) / h
 
 
 @dataclass(frozen=True)
@@ -283,44 +314,25 @@ def _per_chart(model, charts, coords, fn):
     return out
 
 
+def _partials(nb):
+    """Unscaled stencil sums (Fu, Fv, Fuu, Fuv, Fvv)."""
+    along_u = [nb(off, 0) for off in _OFFS]
+    along_v = [nb(0, off) for off in _OFFS]
+    mixed = (
+        (ca * cb, nb(a, b))
+        for a, ca in zip(_OFFS, _D1)
+        for b, cb in zip(_OFFS, _D1)
+        if ca != 0.0 and cb != 0.0
+    )
+    sums = (zip(_D1, along_u), zip(_D1, along_v), zip(_D2, along_u), mixed, zip(_D2, along_v))
+    return tuple(_weighted(pairs) for pairs in sums)
+
+
 def grid_partials(grid: SurfaceGrid):
     """First and second parameter derivatives of F at every node."""
     du, dv = grid.du, grid.dv
-    shape = grid.coords.shape
-    Fu = np.zeros(shape)
-    Fv = np.zeros(shape)
-    Fuu = np.zeros(shape)
-    Fvv = np.zeros(shape)
-    Fuv = np.zeros(shape)
-    for off, c1, c2 in zip(_OFFS, _D1, _D2):
-        if off == 0:
-            nb = grid.coords
-        else:
-            nb = gather_neighbor_coords(grid, off, 0)
-        if c1 != 0.0:
-            Fu += c1 * nb
-        Fuu += c2 * nb
-        if off == 0:
-            nb = grid.coords
-        else:
-            nb = gather_neighbor_coords(grid, 0, off)
-        if c1 != 0.0:
-            Fv += c1 * nb
-        Fvv += c2 * nb
-    for oa, ca in zip(_OFFS, _D1):
-        if ca == 0.0:
-            continue
-        for ob, cb in zip(_OFFS, _D1):
-            if cb == 0.0:
-                continue
-            Fuv += ca * cb * gather_neighbor_coords(grid, oa, ob)
-    return (
-        Fu / du,
-        Fv / dv,
-        Fuu / du**2,
-        Fuv / (du * dv),
-        Fvv / dv**2,
-    )
+    Fu, Fv, Fuu, Fuv, Fvv = _stencil(grid, _partials)
+    return Fu / du, Fv / dv, Fuu / du**2, Fuv / (du * dv), Fvv / dv**2
 
 
 def _normalize(Gm, v):

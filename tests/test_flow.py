@@ -165,3 +165,24 @@ def test_sphere_flow_no_polar_artifacts():
     polar_rows = np.r_[radius[:, 0], radius[:, -1]]
     want = np.sqrt(1.0 - 0.4)
     assert np.abs(polar_rows - want).max() < 1e-6
+
+
+def test_run_differentiates_each_recorded_state_once(monkeypatch):
+    """The end-of-run check reuses the geometry of a final state that the
+    loop already recorded."""
+    import kflow.flow as flow
+
+    calls = []
+    real = flow.compute_geometry
+
+    def counting(grid, floor=1e-6):
+        calls.append(grid)
+        return real(grid, floor=floor)
+
+    monkeypatch.setattr(flow, "compute_geometry", counting)
+    grid = build_surface("round-sphere", C2, radius=1.0, nu=16, nv=8)
+    result = run(grid, FlowConfig(t_end=0.01, diagnostics_stride=4))
+    assert result.stop_reason == "reached-t-end"
+    assert len(calls) == len(result.records)
+    final = real(result.state.grid)
+    assert result.holomorphicity_gap == float(np.max(np.abs(1.0 - final.cos_alpha)))

@@ -6,12 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kflow.ambient import FlatT4, get_model
+from kflow.flow import FlowState, redistribute
 from kflow.immersion import (
+    _D1,
+    _D2,
+    _OFFS,
     SNAPSHOT_FORMAT,
+    SurfaceGrid,
+    _per_chart,
     compute_geometry,
     compute_mean_curvature,
     field_deriv,
     frame_rotated_scalars,
+    grid_partials,
     integrate_scalar,
     kahler_angle_cos,
     laplace_beltrami,
@@ -235,3 +242,228 @@ def test_integrate_scalar_is_linear(a, b):
 def test_tilted_plane_angle_property(theta):
     geom = compute_geometry(_tilted_plane(theta, nu=8, nv=8))
     assert np.abs(geom.cos_alpha - np.cos(theta)).max() < 1e-10
+
+
+# -- oracle: the neighbour-gather stencils replaced by the padded lift -------
+# Copied from the former immersion.py and flow.redistribute: every neighbour
+# (i + a, j + b) is fancy-indexed and re-expressed in the centre's chart.
+
+
+_INDEX_CACHE: dict = {}
+
+
+def _neighbor_index(grid: SurfaceGrid, a, b):
+    """Logical neighbor (i+a, j+b) -> (iu, jv, wrap_u, wrap_v) index arrays."""
+    nu, nv = grid.nu, grid.nv
+    key = (grid.topology, nu, nv, a, b)
+    if key in _INDEX_CACHE:
+        return _INDEX_CACHE[key]
+    i = np.arange(nu)[:, None] + a
+    j = np.broadcast_to(np.arange(nv)[None, :] + b, (nu, nv)).copy()
+    i = np.broadcast_to(i, (nu, nv)).copy()
+    wu = np.floor_divide(i, nu)
+    iu = i - wu * nu
+    if grid.topology == "torus":
+        wv = np.floor_divide(j, nv)
+        jv = j - wv * nv
+    else:
+        wv = np.zeros_like(j)
+        jv = j.copy()
+        below = jv < 0
+        above = jv >= nv
+        jv[below] = -1 - jv[below]
+        jv[above] = 2 * nv - 1 - jv[above]
+        shift = below | above
+        iu[shift] = (iu[shift] + nu // 2) % nu
+    _INDEX_CACHE[key] = (iu, jv, wu, wv)
+    return iu, jv, wu, wv
+
+
+def gather_neighbor_coords(grid: SurfaceGrid, a, b):
+    """Coordinates of node (i+a, j+b) expressed in node (i, j)'s chart."""
+    iu, jv, wu, wv = _neighbor_index(grid, a, b)
+    qx = grid.coords[iu, jv]
+    model = grid.model
+    if model.is_flat:
+        if model.n_charts == 1 and hasattr(model, "min_image"):
+            out = grid.coords + model.min_image(qx - grid.coords)
+        else:
+            out = qx
+    else:
+        qc = grid.chart_ids[iu, jv]
+        cc = grid.chart_ids
+        out = np.empty_like(qx)
+        for c in np.unique(cc):
+            m = cc == c
+            out[m] = model.local_coords(grid.coords[m], int(c), qx[m], qc[m])
+    if grid.period_offsets is not None:
+        out = out + wu[..., None] * grid.period_offsets[0]
+        out = out + wv[..., None] * grid.period_offsets[1]
+    return out
+
+
+def gather_neighbor_scalar(grid: SurfaceGrid, f, a, b, pole_parity=1):
+    """Values of a scalar field at logical neighbor (i+a, j+b).
+
+    pole_parity = -1 flips the sign of ghost values reflected across a pole
+    (needed for v-components of vector densities on sphere grids).
+    """
+    iu, jv, wu, wv = _neighbor_index(grid, a, b)
+    vals = np.asarray(f)[iu, jv]
+    if grid.topology == "sphere" and pole_parity == -1:
+        nv = grid.nv
+        j = np.arange(nv)[None, :] + b
+        reflected = (j < 0) | (j >= nv)
+        vals = np.where(np.broadcast_to(reflected, vals.shape), -vals, vals)
+    return vals
+
+
+def gathered_partials(grid: SurfaceGrid):
+    """The former `grid_partials`: 48 neighbour gathers per call."""
+    du, dv = grid.du, grid.dv
+    shape = grid.coords.shape
+    Fu = np.zeros(shape)
+    Fv = np.zeros(shape)
+    Fuu = np.zeros(shape)
+    Fvv = np.zeros(shape)
+    Fuv = np.zeros(shape)
+    for off, c1, c2 in zip(_OFFS, _D1, _D2):
+        if off == 0:
+            nb = grid.coords
+        else:
+            nb = gather_neighbor_coords(grid, off, 0)
+        if c1 != 0.0:
+            Fu += c1 * nb
+        Fuu += c2 * nb
+        if off == 0:
+            nb = grid.coords
+        else:
+            nb = gather_neighbor_coords(grid, 0, off)
+        if c1 != 0.0:
+            Fv += c1 * nb
+        Fvv += c2 * nb
+    for oa, ca in zip(_OFFS, _D1):
+        if ca == 0.0:
+            continue
+        for ob, cb in zip(_OFFS, _D1):
+            if cb == 0.0:
+                continue
+            Fuv += ca * cb * gather_neighbor_coords(grid, oa, ob)
+    return (
+        Fu / du,
+        Fv / dv,
+        Fuu / du**2,
+        Fuv / (du * dv),
+        Fvv / dv**2,
+    )
+
+
+def gathered_redistribute(state: FlowState, strength: float) -> FlowState:
+    """The former `flow.redistribute`, on the gathered 4-point average."""
+    if strength == 0.0:
+        return state
+    grid = state.grid.copy()
+    avg = (
+        gather_neighbor_coords(grid, 1, 0)
+        + gather_neighbor_coords(grid, -1, 0)
+        + gather_neighbor_coords(grid, 0, 1)
+        + gather_neighbor_coords(grid, 0, -1)
+    ) / 4.0
+    disp = avg - grid.coords
+    Fu, Fv, *_ = gathered_partials(grid)
+    model = grid.model
+    if model.is_flat:
+        du_ = np.einsum("...a,...a->...", disp, Fu)
+        dv_ = np.einsum("...a,...a->...", disp, Fv)
+        g11 = np.einsum("...a,...a->...", Fu, Fu)
+        g12 = np.einsum("...a,...a->...", Fu, Fv)
+        g22 = np.einsum("...a,...a->...", Fv, Fv)
+    else:
+        Gm = _per_chart(model, grid.chart_ids, grid.coords, model.metric)
+        GFu = np.einsum("...ab,...b->...a", Gm, Fu)
+        GFv = np.einsum("...ab,...b->...a", Gm, Fv)
+        du_ = np.einsum("...a,...a->...", disp, GFu)
+        dv_ = np.einsum("...a,...a->...", disp, GFv)
+        g11 = np.einsum("...a,...a->...", Fu, GFu)
+        g12 = np.einsum("...a,...a->...", Fu, GFv)
+        g22 = np.einsum("...a,...a->...", Fv, GFv)
+    det = g11 * g22 - g12**2
+    cu = (g22 * du_ - g12 * dv_) / det
+    cv = (g11 * dv_ - g12 * du_) / det
+    tangential = cu[..., None] * Fu + cv[..., None] * Fv
+    grid.coords += strength * tangential
+    return FlowState(grid=grid, t=state.t, step_index=state.step_index)
+
+
+def _wrapped_torus(nu=32, nv=24):
+    """Torus graph with a mixed term, shifted and wrapped by the model so
+    that the coordinate jumps fall mid-grid."""
+    grid = build_surface("torus-graph", T4, amplitude=0.3, nu=nu, nv=nv)
+    u, v = grid.coords[..., 0].copy(), grid.coords[..., 1].copy()
+    grid.coords[..., 2] += 0.4 * np.sin(u + v)
+    grid.coords[..., :2] += (2.0, 2.5)
+    grid.coords = T4.wrap(grid.coords)
+    return grid
+
+
+def _bumped_plane():
+    """Quasi-periodic plane with a periodic bump, so that every second
+    derivative is nonzero."""
+    grid = build_surface(
+        "plane", C2, a_dir=(1.0, 0.2, 0.0, 0.3), b_dir=(0.0, 1.0, 0.5, 0.0),
+        extent=(1.5, 0.8), nu=16, nv=12,
+    )
+    u = np.arange(16)[:, None] * (2 * np.pi / 16)
+    v = np.arange(12)[None, :] * (2 * np.pi / 12)
+    grid.coords[..., 3] += 0.1 * np.sin(u) * np.cos(2 * v)
+    return grid
+
+
+_ORACLE_GRIDS = {
+    "plane": _bumped_plane,
+    "torus-graph": _wrapped_torus,
+    "round-sphere": lambda: build_surface(
+        "round-sphere", C2, radius=0.8, center=(0.1, 0.2, 0.3, 0.4), nu=64, nv=32
+    ),
+    "cp1": lambda: build_surface("cp1", CP2, nu=32, nv=16),
+    "perturbed-cp1": lambda: build_surface(
+        "perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=32, nv=16
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_GRIDS))
+def test_sliced_partials_match_gathered_oracle(family):
+    grid = _ORACLE_GRIDS[family]()
+    if family == "perturbed-cp1":
+        assert len(np.unique(grid.chart_ids)) == 3
+    if family == "torus-graph":
+        assert np.abs(np.diff(grid.coords[..., 0], axis=0)).max() > np.pi
+    want = gathered_partials(grid)
+    got = grid_partials(grid)
+    for name, w, g in zip(("Fu", "Fv", "Fuu", "Fuv", "Fvv"), want, got):
+        assert np.isfinite(g).all(), name
+        assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("family", ["round-sphere", "torus-graph"])
+@pytest.mark.parametrize("axis, parity", [(0, 1), (1, 1), (1, -1)])
+def test_field_deriv_matches_gathered_oracle(family, axis, parity):
+    grid = _ORACLE_GRIDS[family]()
+    f = np.random.default_rng(3).normal(size=(grid.nu, grid.nv))
+    want = np.zeros_like(f)
+    for off, c in zip(_OFFS, _D1):
+        if c == 0.0:
+            continue
+        a, b = (off, 0) if axis == 0 else (0, off)
+        want += c * gather_neighbor_scalar(grid, f, a, b, parity)
+    want /= grid.du if axis == 0 else grid.dv
+    assert np.array_equal(field_deriv(grid, f, axis, pole_parity=parity), want)
+
+
+@pytest.mark.parametrize("family", ["round-sphere", "perturbed-cp1", "torus-graph"])
+def test_redistribute_matches_gathered_average(family):
+    state = FlowState(grid=_ORACLE_GRIDS[family]())
+    got = redistribute(state, 0.3).grid.coords
+    want = gathered_redistribute(state, 0.3).grid.coords
+    assert np.array_equal(got, want)
