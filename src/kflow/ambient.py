@@ -31,15 +31,6 @@ J_STANDARD = np.array(
     ]
 )
 
-# Real basis vectors expressed as complex tangent components: C[i, a] is the
-# dz^i component of the a-th real coordinate vector.
-_C_BASIS = np.array(
-    [
-        [1.0, 1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0j],
-    ]
-)
-
 # Homogeneous slots of the two affine coordinates of each CP² chart.
 _SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -64,6 +55,16 @@ class TangentVector:
 
     def __post_init__(self):
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+
+
+def apply_J(v):
+    """J v for components v on the last axis (multiplication by i)."""
+    return np.asarray(v) @ J_STANDARD.T
+
+
+def _dot(u, w):
+    """Euclidean dot product of the components on the last axis."""
+    return np.einsum("...a,...a->...", u, w)
 
 
 def to_complex(x):
@@ -107,12 +108,17 @@ class AmbientModel:
         """Canonical (chart, coords) for each point of a batch."""
         raise NotImplementedError
 
-    def local_coords(self, center_x, center_chart, q_x, q_chart):
-        """Coordinates of q expressed in the chart of a nearby center point.
+    # -- contractions ------------------------------------------------------
+    #
+    # Both take chart coordinates x and tangent components u, w (all
+    # broadcast against each other) and are the same formulas in every chart.
 
-        For the torus the representative closest to the center is chosen, so
-        the result varies continuously with q near the center.
-        """
+    def connection(self, x, u, w):
+        """Gamma(u, w)^k = Gamma^k_ij u^i w^j."""
+        raise NotImplementedError
+
+    def inner(self, x, u, w):
+        """g(u, w) = g_ij u^i w^j."""
         raise NotImplementedError
 
     # -- tensors ----------------------------------------------------------
@@ -127,15 +133,9 @@ class AmbientModel:
         """(riemann R_{abcd}, ricci, scalar) at each point of the batch."""
         raise NotImplementedError
 
-    def complex_structure(self, x, chart):
-        x = np.asarray(x)
-        return np.broadcast_to(J_STANDARD, x.shape[:-1] + (4, 4)).copy()
-
     def symplectic_form(self, x, chart):
         """omega_{ab} = g(J e_a, e_b)."""
-        g = self.metric(x, chart)
-        jmat = self.complex_structure(x, chart)
-        return np.einsum("...ca,...cb->...ab", jmat, g)
+        return np.einsum("ca,...cb->...ab", J_STANDARD, self.metric(x, chart))
 
     # -- geodesics --------------------------------------------------------
 
@@ -167,8 +167,7 @@ class AmbientModel:
         raise NotImplementedError
 
     def norm(self, x, chart, v):
-        g = self.metric(x, chart)
-        return np.sqrt(np.einsum("...a,...ab,...b->...", v, g, v))
+        return np.sqrt(self.inner(x, v, v))
 
     def _require_valid(self, p: ChartPoint):
         if not (0 <= p.chart_id < self.n_charts):
@@ -190,6 +189,12 @@ class _FlatModel(AmbientModel):
     def scalar_curvature(self):
         return 0.0
 
+    def connection(self, x, u, w):
+        return 0.0
+
+    def inner(self, x, u, w):
+        return _dot(u, w)
+
     def metric(self, x, chart):
         x = np.asarray(x)
         return np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
@@ -210,6 +215,20 @@ class _FlatModel(AmbientModel):
     def push_forward(self, x, v, chart_from, chart_to):
         return np.asarray(v, dtype=float).copy()
 
+    # Single-chart models: to_chart maps to the canonical representative.
+
+    def chart_valid(self, x, chart):
+        return np.isfinite(np.asarray(x)).all(axis=-1)
+
+    def preferred_chart(self, x, chart):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1], dtype=int), self.to_chart(x, 0, 0)
+
+    def exp(self, x, chart, v, s):
+        x = np.asarray(x, dtype=float)
+        out = x + np.asarray(s)[..., None] * np.asarray(v, dtype=float)
+        return self.to_chart(out, 0, 0), np.zeros(x.shape[:-1], dtype=int)
+
 
 class FlatC2(_FlatModel):
     """C² with the Euclidean metric and the standard complex structure."""
@@ -218,24 +237,8 @@ class FlatC2(_FlatModel):
     n_charts = 1
     injectivity_radius_bound = np.inf
 
-    def chart_valid(self, x, chart):
-        x = np.asarray(x)
-        return np.isfinite(x).all(axis=-1)
-
     def to_chart(self, x, chart_from, chart_to):
         return np.asarray(x, dtype=float).copy()
-
-    def preferred_chart(self, x, chart):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1], dtype=int), x.copy()
-
-    def local_coords(self, center_x, center_chart, q_x, q_chart):
-        return np.asarray(q_x, dtype=float).copy()
-
-    def exp(self, x, chart, v, s):
-        x = np.asarray(x, dtype=float)
-        out = x + np.asarray(s)[..., None] * np.asarray(v, dtype=float)
-        return out, np.zeros(x.shape[:-1], dtype=int)
 
     def log(self, p, q):
         self._require_valid(p)
@@ -269,25 +272,8 @@ class FlatT4(_FlatModel):
         d = np.asarray(d, dtype=float)
         return d - np.round(d / self.periods) * self.periods
 
-    def chart_valid(self, x, chart):
-        x = np.asarray(x)
-        return np.isfinite(x).all(axis=-1)
-
     def to_chart(self, x, chart_from, chart_to):
         return self.wrap(x)
-
-    def preferred_chart(self, x, chart):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1], dtype=int), self.wrap(x)
-
-    def local_coords(self, center_x, center_chart, q_x, q_chart):
-        center_x = np.asarray(center_x, dtype=float)
-        return center_x + self.min_image(np.asarray(q_x, dtype=float) - center_x)
-
-    def exp(self, x, chart, v, s):
-        x = np.asarray(x, dtype=float)
-        out = self.wrap(x + np.asarray(s)[..., None] * np.asarray(v, dtype=float))
-        return out, np.zeros(x.shape[:-1], dtype=int)
 
     def log(self, p, q):
         self._require_valid(p)
@@ -379,71 +365,51 @@ class FubiniStudyCP2(AmbientModel):
         best = np.argmax(np.abs(h), axis=-1)
         return best, from_complex(self._affine(h, best))
 
-    def local_coords(self, center_x, center_chart, q_x, q_chart):
-        center_chart = int(center_chart)
-        q_x = np.asarray(q_x, dtype=float)
-        q_chart = np.broadcast_to(np.asarray(q_chart, dtype=int), q_x.shape[:-1])
-        out = np.empty_like(q_x)
-        for c in np.unique(q_chart):
-            mask = q_chart == c
-            out[mask] = self.to_chart(q_x[mask], int(c), center_chart)
-        return out
+    # -- contractions ------------------------------------------------------
+    #
+    # With z = x + i y, the Hermitian products zbar . u = x.u + i (Jx).u give
+    #   g(u, w) = u.w / (1 + |z|²) - ((x.u)(x.w) + (Jx.u)(Jx.w)) / (1 + |z|²)²
+    #   Gamma(u, w) = -((x.w) u + (Jx.w) Ju + (x.u) w + (Jx.u) Jw) / (1 + |z|²)
+    # where . is the Euclidean dot product of real components.
 
-    # -- tensors ----------------------------------------------------------
+    @staticmethod
+    def _hermitian(x, u, w):
+        """(Re, Im) of zbar . u and of zbar . w, and 1 + |z|²."""
+        jx = apply_J(x)
+        return _dot(x, u), _dot(jx, u), _dot(x, w), _dot(jx, w), 1.0 + _dot(x, x)
+
+    def connection(self, x, u, w):
+        xu, jxu, xw, jxw, d = self._hermitian(x, u, w)
+        out = xw[..., None] * u + jxw[..., None] * apply_J(u)
+        out += xu[..., None] * w + jxu[..., None] * apply_J(w)
+        return -out / d[..., None]
+
+    def inner(self, x, u, w):
+        xu, jxu, xw, jxw, d = self._hermitian(x, u, w)
+        return _dot(u, w) / d - (xu * xw + jxu * jxw) / d**2
+
+    # -- tensors: the contractions with coordinate basis vectors ----------
 
     def metric(self, x, chart):
-        z = to_complex(x)
-        zb = np.conj(z)
-        denom = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
-        delta = np.eye(2)
-        g_c = (
-            delta * denom[..., None, None]
-            - zb[..., :, None] * z[..., None, :]
-        ) / denom[..., None, None] ** 2
-        # Real block form of Re(g_ij C_i[a] conj(C_j[b])): each complex entry
-        # g_kl contributes the 2x2 block [[Re, Im], [-Im, Re]].
-        out = np.empty(x.shape[:-1] + (4, 4))
-        re = g_c.real
-        im = g_c.imag
-        for k in range(2):
-            for l in range(2):
-                out[..., 2 * k, 2 * l] = re[..., k, l]
-                out[..., 2 * k, 2 * l + 1] = im[..., k, l]
-                out[..., 2 * k + 1, 2 * l] = -im[..., k, l]
-                out[..., 2 * k + 1, 2 * l + 1] = re[..., k, l]
-        return out
-
-    @staticmethod
-    def _connection(z):
-        """Complex Christoffel components Gamma(C_b, C_c)^k, indexed
-        [..., k, b, c], with s_a = zbar . C_a and 1 + |z|²."""
-        s = np.conj(z) @ _C_BASIS
-        denom = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None, None]
-        # Gamma(u, w)^k = -(u^k (zbar . w) + w^k (zbar . u)) / (1 + |z|²)
-        t = _C_BASIS[:, :, None] * s[..., None, None, :]
-        return -(t + np.swapaxes(t, -1, -2)) / denom, s, denom
-
-    @staticmethod
-    def _real_components(w):
-        """Real coordinate components of complex tangent components held on
-        axis -3 (the inverse of _C_BASIS on that axis)."""
-        return np.stack([w.real, w.imag], axis=-3).reshape(w.shape[:-3] + (4,) + w.shape[-2:])
+        basis = np.eye(4)
+        return self.inner(np.asarray(x)[..., None, None, :], basis[:, None, :], basis)
 
     def christoffel(self, x, chart):
-        gamma_c, _, _ = self._connection(to_complex(x))
-        return self._real_components(gamma_c)
+        """Gamma^k_ij indexed [..., k, i, j]."""
+        basis = np.eye(4)
+        gamma = self.connection(np.asarray(x)[..., None, None, :], basis[:, None, :], basis)
+        return np.moveaxis(gamma, -1, -3)
 
     def curvature(self, x, chart):
         x = np.asarray(x, dtype=float)
-        gamma_c, s, denom = self._connection(to_complex(x))
-        gamma = self._real_components(gamma_c)
-        # d_a (zbar . C_c) = sum_j conj(C_ja) C_jc and d_a (1 + |z|²) = 2 Re s_a,
-        # so d_a Gamma^k_bc = -(C_kb M_ac + C_kc M_ab + 2 Re s_a Gamma^k_bc) / (1 + |z|²).
-        m = np.conj(_C_BASIS).T @ _C_BASIS
-        t = _C_BASIS[None, :, :, None] * m[:, None, None, :]
-        ds = 2.0 * s.real[..., :, None, None, None] * gamma_c[..., None, :, :, :]
-        dgamma_c = -(t + np.swapaxes(t, -1, -2) + ds) / denom[..., None, :, :, :]
-        dgamma = self._real_components(dgamma_c)
+        gamma = self.christoffel(x, chart)
+        # Differentiating Gamma^k_ij = -(x_j d_ki + (Jx)_j J_ki + x_i d_kj
+        # + (Jx)_i J_kj) / (1 + |z|²) gives d_a Gamma^k_ij indexed [..., a, k, i, j].
+        t = np.einsum("aj,ki->akij", np.eye(4), np.eye(4))
+        t += np.einsum("ja,ki->akij", J_STANDARD, J_STANDARD)
+        d = (1.0 + np.sum(x * x, axis=-1))[..., None, None, None, None]
+        dx = 2.0 * x[..., :, None, None, None] * gamma[..., None, :, :, :]
+        dgamma = -(t + np.swapaxes(t, -1, -2) + dx) / d
         # R(e_a, e_b) e_c = Rup[..., u, c, a, b] e_u
         rup = (
             np.einsum("...aubc->...ucab", dgamma)

@@ -37,6 +37,7 @@ from .immersion import (
     SurfaceGrid,
     compute_mean_curvature,
     integrate_scalar,
+    quadrature_weights,
 )
 
 
@@ -157,13 +158,6 @@ def parabolic_density(
     return float(integrate_scalar(grid, phi * rho, geom))
 
 
-def _max_spacing(grid: SurfaceGrid, info):
-    det = info["g11"] * info["g22"] - info["g12"] ** 2
-    hu = grid.du / np.sqrt(info["g22"] / det)
-    hv = grid.dv / np.sqrt(info["g11"] / det)
-    return float(max(hu.max(), hv.max()))
-
-
 def calibrate_r0(
     grid: SurfaceGrid, eps0: float, seed: int = 0, n_offsurface: int = 100
 ) -> float:
@@ -174,9 +168,9 @@ def calibrate_r0(
     Raises CalibrationError when no radius above the resolution floor 4h
     qualifies (grid too coarse for the requested eps0)."""
     model = grid.model
-    _, info = compute_mean_curvature(grid)
-    floor = 4.0 * _max_spacing(grid, info)
-    area = integrate_scalar(grid, np.ones(grid.chart_ids.shape))
+    stage1 = compute_mean_curvature(grid)
+    floor = 4.0 * float(max(stage1.hu.max(), stage1.hv.max()))
+    area = integrate_scalar(grid, np.ones(grid.chart_ids.shape), stage1)
     r_max = min(model.injectivity_radius_bound / 2.0, float(np.sqrt(area)))
     if r_max <= floor:
         raise CalibrationError(
@@ -187,9 +181,7 @@ def calibrate_r0(
     dirs = rng.normal(size=(n_offsurface, 4))
     fracs = rng.uniform(0.0, 1.0, size=n_offsurface)
 
-    from .immersion import quadrature_weights
-
-    w = quadrature_weights(grid).reshape(-1)
+    w = quadrature_weights(grid, stage1).reshape(-1)
     all_x = grid.coords.reshape(-1, 4)
     all_c = grid.chart_ids.reshape(-1)
     D_nodes = _distance_matrix(model, all_x, all_c, grid)
@@ -257,8 +249,6 @@ def monitor_regularity(
     Each snapshot (grid, t) is probed with kernel scale tau = r0^2 at
     t0 = t + r0^2; centers X0 are the snapshot's own nodes, subsampled to
     at most `max_queries_per_snapshot`."""
-    from .immersion import quadrature_weights
-
     rows = []
     for grid, t in snapshots:
         n = grid.nu * grid.nv
@@ -323,7 +313,8 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
         + (h2 - h1) / (h1 * h2) * phi_static(gm)
         + h1 / (h2 * (h1 + h2)) * phi_static(gn)
     )
-    H, _ = compute_mean_curvature(gm)
+    stage1 = compute_mean_curvature(gm)
+    H = stage1.H
     d = _distances_to(model, gm, query.x0)
     rel = gm.coords - query.x0.x  # position relative to X0 (flat chart)
     if hasattr(model, "min_image"):
@@ -338,10 +329,10 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
     with np.errstate(invalid="ignore", divide="ignore"):
         grad_term = np.where(d > 0, dphi * FH / np.where(d > 0, d, 1.0), 0.0)
     rhs = (
-        integrate_scalar(gm, grad_term * rho)
+        integrate_scalar(gm, grad_term * rho, stage1)
         - integrate_scalar(
-            gm, phi / (8.0 * np.pi * tau**2) * np.exp(-(d**2) / (4.0 * tau)) * FH
+            gm, phi / (8.0 * np.pi * tau**2) * np.exp(-(d**2) / (4.0 * tau)) * FH, stage1
         )
-        - integrate_scalar(gm, phi * rho * H2)
+        - integrate_scalar(gm, phi * rho * H2, stage1)
     )
     return float(dphi_dt - rhs)

@@ -4,6 +4,12 @@ Nodes move by dF/dt = H with classical 4th-order Runge-Kutta in chart
 coordinates.  The step size is cfl_factor * h_res^2 where h_res is the
 resolved grid spacing recomputed from the induced metric every step.
 
+Each RK stage, and the tangential redistribution, evaluates stage 1 of the
+immersion geometry (`compute_mean_curvature`: induced metric, spacings and
+H).  Stage 2 (`compute_geometry`) runs only when a diagnostics record is
+due; its stage 1 is then the first RK stage of the next step, so no state
+is differentiated twice.
+
 On sphere grids the azimuthal spacing collapses like sin(v) toward the
 poles, so a literal min-spacing step size would shrink quadratically in the
 resolution for no accuracy gain (the polar rows oversample the surface in
@@ -24,8 +30,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
 from .errors import ConfigError, DegenerateImmersionError
-from .immersion import (SurfaceGrid, _per_chart, _stencil, compute_geometry,
-                        compute_mean_curvature, grid_partials)
+from .immersion import (MeanCurvature, SurfaceGrid, _stencil, compute_geometry,
+                        compute_mean_curvature)
 
 # Largest |z| (real-axis) with |R(z)| <= 1 for classical RK4.
 _RK4_REAL_LIMIT = 2.785
@@ -44,7 +50,6 @@ class FlowConfig:
     redistribution: tuple[int, float] | None = None  # (every k steps, strength)
     blowup_threshold: float | None = None  # default: 1e3 / initial length scale
     converged_H_tol: float = 1e-4
-    floor: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.cfl_factor <= 0.5:
@@ -75,34 +80,20 @@ class FlowResult:
     holomorphicity_gap: float | None = None
 
 
-def velocity_field(grid: SurfaceGrid, floor=1e-6):
-    """Mean curvature vector at every node (the pure flow velocity), plus
-    induced-metric info for step-size control."""
-    return compute_mean_curvature(grid, floor=floor)
-
-
-def _spacings(grid: SurfaceGrid, info):
-    """Per-node effective spacings (h_u, h_v) from the induced metric."""
-    det = info["g11"] * info["g22"] - info["g12"] ** 2
-    hu = grid.du / np.sqrt(info["g22"] / det)
-    hv = grid.dv / np.sqrt(info["g11"] / det)
-    return hu, hv
-
-
-def resolved_spacing(grid: SurfaceGrid, info) -> float:
+def resolved_spacing(grid: SurfaceGrid, vel: MeanCurvature) -> float:
     """Spacing used for the step size.
 
     Torus: global minimum spacing.  Sphere: min of the v-spacing and the
     *widest* row's minimum u-spacing (polar rows are handled by the zonal
     filter instead of the step size).
     """
-    hu, hv = _spacings(grid, info)
+    hu, hv = vel.hu, vel.hv
     if grid.topology == "torus":
         return float(min(hu.min(), hv.min()))
     return float(min(hv.min(), hu.min(axis=0).max()))
 
 
-def _zonal_filter(grid: SurfaceGrid, info, dt: float):
+def _zonal_filter(grid: SurfaceGrid, vel: MeanCurvature, dt: float):
     """Stability treatment of the stiff azimuthal modes on sphere grids.
 
     Returns (keep_mask, rate):
@@ -117,11 +108,8 @@ def _zonal_filter(grid: SurfaceGrid, info, dt: float):
     if grid.topology != "sphere":
         return None, None
     nu = grid.nu
-    det = info["g11"] * info["g22"] - info["g12"] ** 2
-    i11 = info["g22"] / det
-    i22 = info["g11"] / det
-    a_row = i11.max(axis=0) / grid.du**2            # stiffest u-coefficient
-    c_row = i22.max(axis=0) / grid.dv**2 * _D2_SYMBOL(np.pi)
+    a_row = vel.ginv[..., 0, 0].max(axis=0) / grid.du**2  # stiffest u-coefficient
+    c_row = vel.ginv[..., 1, 1].max(axis=0) / grid.dv**2 * _D2_SYMBOL(np.pi)
     k = np.arange(nu // 2 + 1)
     budget = _FILTER_SAFETY * _RK4_REAL_LIMIT / dt
     rate = a_row[None, :] * _D2_SYMBOL(k * grid.du)[:, None]
@@ -182,30 +170,30 @@ def _reassign_charts(grid: SurfaceGrid):
     return grid
 
 
-def step(state: FlowState, config: FlowConfig, _vel=None) -> FlowState:
-    """One RK4 step of dF/dt = H.  `_vel` optionally reuses an already
-    computed (H, info) pair for the first stage."""
+def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None) -> FlowState:
+    """One RK4 step of dF/dt = H.  `vel` optionally reuses the stage 1
+    geometry of state.grid, already computed, for the first RK stage."""
     grid = state.grid
-    H1, info = _vel if _vel is not None else velocity_field(grid, config.floor)
-    h_res = resolved_spacing(grid, info)
+    if vel is None:
+        vel = compute_mean_curvature(grid)
+    h_res = resolved_spacing(grid, vel)
     dt = config.cfl_factor * h_res**2
     dt = min(dt, config.t_end - state.t)
-    mask, rate = _zonal_filter(grid, info, dt)
+    mask, rate = _zonal_filter(grid, vel, dt)
 
-    k1 = _apply_mask(H1, mask)
+    k1 = _apply_mask(vel.H, mask)
 
     def stage(displacement):
         g = grid.copy()
         g.coords += displacement
-        Hs, _ = velocity_field(g, config.floor)
-        return _apply_mask(Hs, mask)
+        return _apply_mask(compute_mean_curvature(g).H, mask)
 
     k2 = stage(0.5 * dt * k1)
     k3 = stage(0.5 * dt * k2)
     k4 = stage(dt * k3)
     new = grid.copy()
     new.coords += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    _exponential_mode_step(new.coords, H1, mask, rate, dt)
+    _exponential_mode_step(new.coords, vel.H, mask, rate, dt)
     _reassign_charts(new)
     return FlowState(grid=new, t=state.t + dt, step_index=state.step_index + 1)
 
@@ -223,24 +211,10 @@ def redistribute(state: FlowState, strength: float) -> FlowState:
         grid, lambda nb: ((nb(1, 0) + nb(-1, 0) + nb(0, 1) + nb(0, -1)) / 4.0,)
     )
     disp = avg - grid.coords
-    Fu, Fv, *_ = grid_partials(grid)
-    model = grid.model
-    if model.is_flat:
-        du_ = np.einsum("...a,...a->...", disp, Fu)
-        dv_ = np.einsum("...a,...a->...", disp, Fv)
-        g11 = np.einsum("...a,...a->...", Fu, Fu)
-        g12 = np.einsum("...a,...a->...", Fu, Fv)
-        g22 = np.einsum("...a,...a->...", Fv, Fv)
-    else:
-        Gm = _per_chart(model, grid.chart_ids, grid.coords, model.metric)
-        GFu = np.einsum("...ab,...b->...a", Gm, Fu)
-        GFv = np.einsum("...ab,...b->...a", Gm, Fv)
-        du_ = np.einsum("...a,...a->...", disp, GFu)
-        dv_ = np.einsum("...a,...a->...", disp, GFv)
-        g11 = np.einsum("...a,...a->...", Fu, GFu)
-        g12 = np.einsum("...a,...a->...", Fu, GFv)
-        g22 = np.einsum("...a,...a->...", Fv, GFv)
-    det = g11 * g22 - g12**2
+    vel = compute_mean_curvature(grid)
+    Fu, Fv, g11, g12, g22, det = vel.Fu, vel.Fv, vel.g11, vel.g12, vel.g22, vel.det
+    du_ = grid.model.inner(grid.coords, disp, Fu)
+    dv_ = grid.model.inner(grid.coords, disp, Fv)
     cu = (g22 * du_ - g12 * dv_) / det
     cv = (g11 * dv_ - g12 * du_) / det
     tangential = cu[..., None] * Fu + cv[..., None] * Fv
@@ -250,10 +224,14 @@ def redistribute(state: FlowState, strength: float) -> FlowState:
 
 def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     """Advance the flow to t_end, emitting a DiagnosticsRecord every
-    diagnostics_stride steps and a snapshot every snapshot_stride steps."""
+    diagnostics_stride steps and a snapshot every snapshot_stride steps.
+
+    A recorded state's stage 1 geometry (`GridGeometry.stage1`) is the first
+    RK stage of the step that leaves it, so no state is differentiated
+    twice."""
     state = FlowState(grid=initial.copy())
     try:
-        geom = compute_geometry(state.grid, floor=config.floor)
+        geom = compute_geometry(state.grid)
     except DegenerateImmersionError:
         return FlowResult(
             records=[],
@@ -263,6 +241,7 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
             holomorphicity_gap=None,
         )
     rec = record(state.grid, state.t, geom=geom)  # geom stays that of records[-1]
+    vel = geom.stage1  # stage 1 of state.grid, or None when not yet computed
     records = [rec]
     snapshots = [(state.grid.copy(), state.t)]
     threshold = config.blowup_threshold
@@ -274,30 +253,28 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
         stop = "blowup-flag"
     while stop is None and state.t < config.t_end - 1e-15:
         try:
-            vel = velocity_field(state.grid, config.floor)
+            if vel is None:
+                vel = compute_mean_curvature(state.grid)
+            if float(np.sqrt(vel.H_norm_sq.max())) < config.converged_H_tol:
+                stop = "converged"
+                break
+            state = step(state, config, vel)
+            vel = None
+            if config.redistribution is not None:
+                k_every, lam = config.redistribution
+                if state.step_index % k_every == 0:
+                    state = redistribute(state, lam)
         except DegenerateImmersionError:
             stop = "degenerate-grid"
             break
-        max_h = float(np.sqrt(vel[1]["H_norm_sq"].max()))
-        if max_h < config.converged_H_tol:
-            stop = "converged"
-            break
-        try:
-            state = step(state, config, _vel=vel)
-        except DegenerateImmersionError:
-            stop = "degenerate-grid"
-            break
-        if config.redistribution is not None:
-            k_every, lam = config.redistribution
-            if state.step_index % k_every == 0:
-                state = redistribute(state, lam)
         at_end = state.t >= config.t_end - 1e-15
         if state.step_index % config.diagnostics_stride == 0 or at_end:
             try:
-                geom = compute_geometry(state.grid, floor=config.floor)
+                geom = compute_geometry(state.grid)
             except DegenerateImmersionError:
                 stop = "degenerate-grid"
                 break
+            vel = geom.stage1
             rec = record(state.grid, state.t, geom=geom, prev=records[-1])
             records.append(rec)
             if not np.isfinite(rec.area):
@@ -313,7 +290,7 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     if stop in ("converged", "reached-t-end"):
         try:
             if records[-1].t < state.t - 1e-15:
-                geom = compute_geometry(state.grid, floor=config.floor)
+                geom = compute_geometry(state.grid)
                 records.append(record(state.grid, state.t, geom=geom, prev=records[-1]))
             gap = float(np.max(np.abs(1.0 - geom.cos_alpha)))
         except DegenerateImmersionError:

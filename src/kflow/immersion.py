@@ -14,17 +14,28 @@ several charts.
 Flat models additionally support quasi-periodic grids (period_offsets): the
 surface closes up to a fixed ambient translation per parameter period.  This
 realizes planes and linear holomorphic/Lagrangian test surfaces exactly.
+
+The geometry of a grid is computed in two stages, on the whole grid at once
+and through the ambient contractions g(u, w) and Gamma(u, w) only, so one
+code path serves every model and chart:
+
+* stage 1, `compute_mean_curvature`: partials, induced metric and inverse,
+  spacings, T_ab = F_ab + Gamma(F_a, F_b) and the mean curvature vector H;
+  this is all the stepper, the quadrature and the density layer need;
+* stage 2, `compute_geometry`: stage 1 plus the adapted frame, the second
+  fundamental form h in it, cos(alpha), |nabla J|^2 and |A|^2, computed
+  when a diagnostics record is due.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ambient import AmbientModel, ChartPoint, get_model
+from .ambient import AmbientModel, apply_J, get_model
 from .errors import DegenerateImmersionError
 
 TWO_PI = 2.0 * np.pi
@@ -35,16 +46,6 @@ TWO_PI = 2.0 * np.pi
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _OFFS = (-3, -2, -1, 0, 1, 2, 3)
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _perm in itertools.permutations(range(4)):
-    _sign = 1
-    _p = list(_perm)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _p[_i] > _p[_j]:
-                _sign = -_sign
-    _EPS4[_perm] = _sign
 
 
 @dataclass
@@ -86,14 +87,6 @@ class SurfaceGrid:
     def dv(self):
         return TWO_PI / self.nv if self.topology == "torus" else np.pi / self.nv
 
-    def param_u(self):
-        return np.arange(self.nu) * self.du
-
-    def param_v(self):
-        if self.topology == "torus":
-            return np.arange(self.nv) * self.dv
-        return (np.arange(self.nv) + 0.5) * self.dv
-
     def copy(self):
         return SurfaceGrid(
             topology=self.topology,
@@ -105,9 +98,6 @@ class SurfaceGrid:
             else self.period_offsets.copy(),
             orientation=self.orientation,
         )
-
-    def node(self, i, j) -> ChartPoint:
-        return ChartPoint(int(self.chart_ids[i, j]), self.coords[i, j])
 
 
 _G = 3  # ghost width: the half-width of the 7-point stencils
@@ -192,7 +182,8 @@ def _stencil(grid: SurfaceGrid, fn):
     """Node values of fn(nb), a tuple of stencil sums over the blocks nb(a, b)
     of `_shifted`, on each padded lift; every node takes the values
     computed in its own chart.  On flat T4, nb(a, b) is
-    centre + min_image(neighbour - centre), as in `local_coords`."""
+    centre + min_image(neighbour - centre), the neighbour's representative
+    nearest the centre."""
     min_image = getattr(grid.model, "min_image", None)
     out = None
     with np.errstate(invalid="ignore", over="ignore"):
@@ -218,62 +209,60 @@ def field_deriv(grid: SurfaceGrid, f, axis, pole_parity=1):
     return _nodes(_weighted(zip(_D1, shifted)), grid.nu) / h
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Orthonormal frame (e1, e2 tangent; v1, v2 normal) at one node."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+# Smallest admissible length of a frame vector before normalization, and of
+# the square root of the smaller eigenvalue of the induced metric.
+NONDEGENERACY_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class SecondFundamentalForm:
-    """h[alpha][i][j] in the orthonormal adapted frame, symmetric in (i, j)."""
-
-    h: np.ndarray  # (2, 2, 2)
-
-
-@dataclass(frozen=True)
-class NodeGeometry:
-    """Per-node extrinsic geometry extracted from a GridGeometry."""
-
-    dF_du: np.ndarray
-    dF_dv: np.ndarray
-    d2F_duu: np.ndarray
-    d2F_duv: np.ndarray
-    d2F_dvv: np.ndarray
-    induced_metric: np.ndarray
-    induced_metric_inv: np.ndarray
-    sqrt_det_g: float
-    frame: AdaptedFrame
-    sff: SecondFundamentalForm
-    H: np.ndarray
-    H_norm_sq: float
-    cos_alpha: float
-    nablaJ_sq: float
-    A_sq: float
-
-
-@dataclass
-class GridGeometry:
-    """All per-node geometry of a grid snapshot, as (nu, nv, ...) arrays."""
+class MeanCurvature:
+    """Stage 1 of a grid's geometry, as (nu, nv, ...) arrays: what the
+    stepper, the quadrature and the density layer need.  The matrices and
+    spacings are formed on first use: the later RK stages read only H."""
 
     grid: SurfaceGrid
     Fu: np.ndarray
     Fv: np.ndarray
-    Fuu: np.ndarray
-    Fuv: np.ndarray
-    Fvv: np.ndarray
-    ambient_metric: np.ndarray  # (nu, nv, 4, 4)
-    ambient_metric_inv: np.ndarray
-    omega: np.ndarray  # (nu, nv, 4, 4)
-    g: np.ndarray  # (nu, nv, 2, 2)
-    ginv: np.ndarray
-    sqrtg: np.ndarray
+    g11: np.ndarray  # induced metric entries and determinant
+    g12: np.ndarray
+    g22: np.ndarray
+    det: np.ndarray
+    T: tuple  # (T_uu, T_uv, T_vv), T_ab = F_ab + Gamma(F_a, F_b)
+    H: np.ndarray  # (nu, nv, 4) mean curvature vector: the flow velocity
+    H_norm_sq: np.ndarray
+
+    @cached_property
+    def g(self):
+        return _sym2(self.g11, self.g12, self.g22)
+
+    @cached_property
+    def ginv(self):
+        return _sym2(self.g22 / self.det, -self.g12 / self.det, self.g11 / self.det)
+
+    @cached_property
+    def sqrtg(self):
+        return np.sqrt(self.det)
+
+    @property
+    def hu(self):
+        """Effective spacing du / sqrt(g^uu) (hv likewise)."""
+        return self.grid.du / np.sqrt(self.ginv[..., 0, 0])
+
+    @property
+    def hv(self):
+        return self.grid.dv / np.sqrt(self.ginv[..., 1, 1])
+
+
+@dataclass(frozen=True)
+class GridGeometry:
+    """Stage 2 of a grid's geometry: stage 1 plus the adapted frame and the
+    quantities read off it.  H and H_norm_sq are taken from the frame's h,
+    like nablaJ_sq, so that the pinching inequality compares quantities of
+    one construction; stage1.H is the flow velocity."""
+
+    grid: SurfaceGrid
+    stage1: MeanCurvature
     frame: np.ndarray  # (nu, nv, 4, 4): rows e1, e2, v1, v2
-    T: np.ndarray  # (nu, nv, 2, 2, 4): II before normal projection
     h: np.ndarray  # (nu, nv, 2, 2, 2)
     H: np.ndarray  # (nu, nv, 4)
     H_norm_sq: np.ndarray
@@ -281,37 +270,17 @@ class GridGeometry:
     nablaJ_sq: np.ndarray
     A_sq: np.ndarray
 
-    def node(self, i, j) -> NodeGeometry:
-        fr = AdaptedFrame(*self.frame[i, j])
-        return NodeGeometry(
-            dF_du=self.Fu[i, j],
-            dF_dv=self.Fv[i, j],
-            d2F_duu=self.Fuu[i, j],
-            d2F_duv=self.Fuv[i, j],
-            d2F_dvv=self.Fvv[i, j],
-            induced_metric=self.g[i, j],
-            induced_metric_inv=self.ginv[i, j],
-            sqrt_det_g=float(self.sqrtg[i, j]),
-            frame=fr,
-            sff=SecondFundamentalForm(self.h[i, j]),
-            H=self.H[i, j],
-            H_norm_sq=float(self.H_norm_sq[i, j]),
-            cos_alpha=float(self.cos_alpha[i, j]),
-            nablaJ_sq=float(self.nablaJ_sq[i, j]),
-            A_sq=float(self.A_sq[i, j]),
-        )
+    @property
+    def g(self):
+        return self.stage1.g
 
+    @property
+    def ginv(self):
+        return self.stage1.ginv
 
-def _per_chart(model, charts, coords, fn):
-    """Evaluate a per-chart tensor function over a mixed-chart node array."""
-    out = None
-    for c in np.unique(charts):
-        m = charts == c
-        val = fn(coords[m], int(c))
-        if out is None:
-            out = np.empty(charts.shape + val.shape[1:], dtype=val.dtype)
-        out[m] = val
-    return out
+    @property
+    def sqrtg(self):
+        return self.stage1.sqrtg
 
 
 def _partials(nb):
@@ -335,243 +304,128 @@ def grid_partials(grid: SurfaceGrid):
     return Fu / du, Fv / dv, Fuu / du**2, Fuv / (du * dv), Fvv / dv**2
 
 
-def _normalize(Gm, v):
-    n = np.sqrt(np.einsum("...a,...ab,...b->...", v, Gm, v))
-    return v / n[..., None], n
+def _sym2(a, b, c):
+    """The symmetric 2x2 matrices [[a, b], [b, c]]."""
+    return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
 
 
-def _adapted_frames(Gm, Fu, Fv, floor):
-    """Vectorized adapted frames at every node; returns (nu, nv, 4, 4)."""
-    e1, n1 = _normalize(Gm, Fu)
-    if np.any(n1 < floor):
-        raise DegenerateImmersionError("tangent vector below nondegeneracy floor")
-    proj = np.einsum("...a,...ab,...b->...", e1, Gm, Fv)
-    e2raw = Fv - proj[..., None] * e1
-    e2, n2 = _normalize(Gm, e2raw)
-    if np.any(n2 < floor):
-        raise DegenerateImmersionError("Gram-Schmidt pivot below floor")
-
-    # Normal seed: the coordinate basis vector least aligned with the tangent
-    # plane (tie-break lowest index via argmin).
-    basis = np.eye(4)
-    be1 = np.einsum("...ab,...b,ca->...c", Gm, e1, basis)  # <b_c, e1>
-    be2 = np.einsum("...ab,...b,ca->...c", Gm, e2, basis)
-    bnorm = np.sqrt(np.einsum("...ab,ca,cb->...c", Gm, basis, basis))
-    align = (be1**2 + be2**2) / bnorm**2
-    seed_idx = np.argmin(align, axis=-1)
-    seed = basis[seed_idx]
-    v1raw = (
-        seed
-        - np.take_along_axis(be1, seed_idx[..., None], -1) * e1
-        - np.take_along_axis(be2, seed_idx[..., None], -1) * e2
-    )
-    v1, nv1 = _normalize(Gm, v1raw)
-    if np.any(nv1 < floor):
-        raise DegenerateImmersionError("normal seed degenerate")
-
-    # v2 fixed by total ambient orientation: <v2, X> = sqrt(det G) eps(e1,e2,v1,X)
-    sdet = np.sqrt(np.linalg.det(Gm))
-    w = sdet[..., None] * np.einsum(
-        "abcd,...a,...b,...c->...d", _EPS4, e1, e2, v1
-    )
-    Ginv = np.linalg.inv(Gm)
-    v2raw = np.einsum("...da,...a->...d", Ginv, w)
-    v2, _ = _normalize(Gm, v2raw)
-    return np.stack([e1, e2, v1, v2], axis=-2)
-
-
-def _second_fundamental(Gm, Fu, Fv, ginv, T, frame, omega):
-    """h[alpha, i, j] in the frame, mean curvature, and derived scalars."""
-    e1 = frame[..., 0, :]
-    e2 = frame[..., 1, :]
-    normals = frame[..., 2:, :]
-    # M[a, i] = <F_a, e_i>;  e_i = C^a_i F_a with C = g^{-1} M
-    Ft = np.stack([Fu, Fv], axis=-2)
-    M = np.einsum("...ac,...cd,...id->...ai", Ft, Gm, frame[..., :2, :])
-    C = np.einsum("...ab,...bi->...ai", ginv, M)
-    # normal components of T in coordinate basis
-    htilde = np.einsum("...abc,...cd,...nd->...nab", T, Gm, normals)
-    h = np.einsum("...nab,...ai,...bj->...nij", htilde, C, C)
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    Halpha = np.einsum("...ab,...nab->...n", ginv, htilde)
-    Hvec = np.einsum("...n,...nd->...d", Halpha, normals)
-    H2 = np.einsum("...n,...n->...", Halpha, Halpha)
-    cos_alpha = np.einsum("...a,...ab,...b->...", e1, omega, e2)
-    nablaJ = (
-        (h[..., 1, 0, 0] + h[..., 0, 0, 1]) ** 2
-        + (h[..., 1, 1, 0] + h[..., 0, 1, 1]) ** 2
-        + (h[..., 1, 0, 1] - h[..., 0, 0, 0]) ** 2
-        + (h[..., 1, 1, 1] - h[..., 0, 1, 0]) ** 2
-    )
-    A2 = np.einsum("...nij->...", h**2)
-    return h, Hvec, H2, cos_alpha, nablaJ, A2
-
-
-def compute_geometry(grid: SurfaceGrid, floor=1e-6) -> GridGeometry:
-    """All per-node extrinsic geometry for one grid snapshot."""
+def compute_mean_curvature(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> MeanCurvature:
+    """Stage 1: the partials, the induced metric and its inverse, the
+    spacings, T_ab = F_ab + Gamma(F_a, F_b) and the mean curvature vector
+    H = g^ab T_ab minus its tangential part."""
     Fu, Fv, Fuu, Fuv, Fvv = grid_partials(grid)
-    model = grid.model
-    charts = grid.chart_ids
-    coords = grid.coords
-    Gm = _per_chart(model, charts, coords, model.metric)
-    omega = _per_chart(model, charts, coords, model.symplectic_form)
-    if model.is_flat:
-        gamma = None
-    else:
-        gamma = _per_chart(model, charts, coords, model.christoffel)
-
-    g11 = np.einsum("...a,...ab,...b->...", Fu, Gm, Fu)
-    g12 = np.einsum("...a,...ab,...b->...", Fu, Gm, Fv)
-    g22 = np.einsum("...a,...ab,...b->...", Fv, Gm, Fv)
-    g = np.stack(
-        [
-            np.stack([g11, g12], axis=-1),
-            np.stack([g12, g22], axis=-1),
-        ],
-        axis=-2,
-    )
-    detg = g11 * g22 - g12**2
-    if np.any(detg <= 0) or np.any(np.sqrt(np.linalg.eigvalsh(g)[..., 0]) < floor):
-        raise DegenerateImmersionError("induced metric not SPD above floor")
-    sqrtg = np.sqrt(detg)
-    ginv = np.linalg.inv(g)
-
-    frame = _adapted_frames(Gm, Fu, Fv, floor)
-
-    # Coordinate-basis second fundamental form before normal projection:
-    # T_ab = d2F_ab + Gamma(dFa, dFb)
-    T = np.empty(grid.coords.shape[:2] + (2, 2, 4))
-    second = {(0, 0): Fuu, (0, 1): Fuv, (1, 0): Fuv, (1, 1): Fvv}
-    first = {0: Fu, 1: Fv}
-    for a in range(2):
-        for b in range(2):
-            Tab = second[(a, b)].copy()
-            if gamma is not None:
-                Tab += np.einsum(
-                    "...kij,...i,...j->...k", gamma, first[a], first[b]
-                )
-            T[..., a, b, :] = Tab
-
-    h, Hvec, H2, cos_alpha, nablaJ, A2 = _second_fundamental(
-        Gm, Fu, Fv, ginv, T, frame, omega
-    )
-    return GridGeometry(
-        grid=grid,
-        Fu=Fu,
-        Fv=Fv,
-        Fuu=Fuu,
-        Fuv=Fuv,
-        Fvv=Fvv,
-        ambient_metric=Gm,
-        ambient_metric_inv=np.linalg.inv(Gm),
-        omega=omega,
-        g=g,
-        ginv=ginv,
-        sqrtg=sqrtg,
-        frame=frame,
-        T=T,
-        h=h,
-        H=Hvec,
-        H_norm_sq=H2,
-        cos_alpha=cos_alpha,
-        nablaJ_sq=nablaJ,
-        A_sq=A2,
-    )
-
-
-def _inv2x2(g):
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    inv = np.empty_like(g)
-    inv[..., 0, 0] = g[..., 1, 1] / det
-    inv[..., 1, 1] = g[..., 0, 0] / det
-    inv[..., 0, 1] = -g[..., 0, 1] / det
-    inv[..., 1, 0] = -g[..., 1, 0] / det
-    return inv, det
-
-
-def compute_mean_curvature(grid: SurfaceGrid, floor=1e-6):
-    """Mean curvature vector field only (the flow velocity).
-
-    A stripped-down version of compute_geometry for the time-stepping inner
-    loop: no frames, no Kähler angle, no second-fundamental-form conversion.
-    Returns (H, info) with info holding the induced metric data needed for
-    step-size control.
-    """
-    Fu, Fv, Fuu, Fuv, Fvv = grid_partials(grid)
-    model = grid.model
-    flat = model.is_flat
-    if flat:
-        g11 = np.einsum("...a,...a->...", Fu, Fu)
-        g12 = np.einsum("...a,...a->...", Fu, Fv)
-        g22 = np.einsum("...a,...a->...", Fv, Fv)
-    else:
-        Gm = _per_chart(model, grid.chart_ids, grid.coords, model.metric)
-        GFu = np.einsum("...ab,...b->...a", Gm, Fu)
-        GFv = np.einsum("...ab,...b->...a", Gm, Fv)
-        g11 = np.einsum("...a,...a->...", Fu, GFu)
-        g12 = np.einsum("...a,...a->...", Fu, GFv)
-        g22 = np.einsum("...a,...a->...", Fv, GFv)
+    x, model = grid.coords, grid.model
+    g11 = model.inner(x, Fu, Fu)
+    g12 = model.inner(x, Fu, Fv)
+    g22 = model.inner(x, Fv, Fv)
     det = g11 * g22 - g12**2
     if np.any(det <= floor**4):
         raise DegenerateImmersionError("induced metric degenerate in flow step")
     i11 = g22 / det
     i22 = g11 / det
     i12 = -g12 / det
-
-    Tuu, Tuv, Tvv = Fuu, Fuv, Fvv
-    if not flat:
-        gamma = _per_chart(model, grid.chart_ids, grid.coords, model.christoffel)
-        Tuu = Fuu + np.einsum("...kij,...i,...j->...k", gamma, Fu, Fu)
-        Tuv = Fuv + np.einsum("...kij,...i,...j->...k", gamma, Fu, Fv)
-        Tvv = Fvv + np.einsum("...kij,...i,...j->...k", gamma, Fv, Fv)
-    Htr = (
-        i11[..., None] * Tuu + 2 * i12[..., None] * Tuv + i22[..., None] * Tvv
-    )
-    if flat:
-        pu = np.einsum("...a,...a->...", Htr, Fu)
-        pv = np.einsum("...a,...a->...", Htr, Fv)
-    else:
-        pu = np.einsum("...a,...a->...", Htr, GFu)
-        pv = np.einsum("...a,...a->...", Htr, GFv)
+    T = (Fuu, Fuv, Fvv)  # formed in place: the second partials are not kept
+    for F2, a, b in zip(T, (Fu, Fu, Fv), (Fu, Fv, Fv)):
+        F2 += model.connection(x, a, b)
+    Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
+    pu = model.inner(x, Htr, Fu)
+    pv = model.inner(x, Htr, Fv)
     cu = i11 * pu + i12 * pv
     cv = i12 * pu + i22 * pv
     H = Htr - cu[..., None] * Fu - cv[..., None] * Fv
-    if flat:
-        H2 = np.einsum("...a,...a->...", H, H)
-    else:
-        H2 = np.einsum("...a,...ab,...b->...", H, Gm, H)
-    info = {
-        "g11": g11,
-        "g12": g12,
-        "g22": g22,
-        "sqrtg": np.sqrt(det),
-        "H_norm_sq": H2,
-    }
-    return H, info
+    return MeanCurvature(grid, Fu, Fv, g11, g12, g22, det, T, H, model.inner(x, H, H))
+
+
+def _normalize(model, x, v):
+    n = np.sqrt(model.inner(x, v, v))
+    return v / n[..., None], n
+
+
+def _adapted_frames(model, x, Fu, Fv, floor):
+    """Orthonormal frames at every node, as (nu, nv, 4, 4) with rows e1, e2
+    (Gram-Schmidt on Fu, Fv), v1 and v2 (normal, positively oriented)."""
+    e1, n1 = _normalize(model, x, Fu)
+    if np.any(n1 < floor):
+        raise DegenerateImmersionError("tangent vector below nondegeneracy floor")
+    e2, n2 = _normalize(model, x, Fv - model.inner(x, e1, Fv)[..., None] * e1)
+    if np.any(n2 < floor):
+        raise DegenerateImmersionError("Gram-Schmidt pivot below floor")
+
+    # Normal seed: the coordinate basis vector least aligned with the tangent
+    # plane (tie-break lowest index via argmin).
+    basis = np.eye(4)
+    xb = x[..., None, :]
+    be1 = model.inner(xb, basis, e1[..., None, :])  # <b_c, e1>
+    be2 = model.inner(xb, basis, e2[..., None, :])
+    align = (be1**2 + be2**2) / model.inner(xb, basis, basis)
+    seed = np.argmin(align, axis=-1)[..., None]
+    v1raw = (
+        basis[seed[..., 0]]
+        - np.take_along_axis(be1, seed, -1) * e1
+        - np.take_along_axis(be2, seed, -1) * e2
+    )
+    v1, nv1 = _normalize(model, x, v1raw)
+    if np.any(nv1 < floor):
+        raise DegenerateImmersionError("normal seed degenerate")
+
+    # v2 is fixed by the ambient orientation, <v2, X> = vol(e1, e2, v1, X).
+    # The volume form is omega^2/2, whose cofactor expansion with
+    # omega(a, b) = <Ja, b> gives v2 without the metric's inverse or
+    # determinant.
+    omega = lambda a, b: model.inner(x, apply_J(a), b)[..., None]
+    v2 = omega(e1, e2) * apply_J(v1) - omega(e1, v1) * apply_J(e2)
+    v2, _ = _normalize(model, x, v2 + omega(e2, v1) * apply_J(e1))
+    return np.stack([e1, e2, v1, v2], axis=-2)
+
+
+def _second_fundamental(model, x, stage1: MeanCurvature, frame):
+    """h[alpha, i, j] in the frame, H, |H|^2, cos(alpha), |nabla J|^2 and
+    |A|^2 (the order of the GridGeometry fields)."""
+    normals = frame[..., 2:, :]
+    # M[a, i] = <F_a, e_i>;  e_i = C^a_i F_a with C = g^{-1} M
+    F = np.stack([stage1.Fu, stage1.Fv], axis=-2)
+    M = model.inner(x[..., None, None, :], F[..., :, None, :], frame[..., None, :2, :])
+    C = stage1.ginv @ M
+    # normal components of T in the coordinate basis, htilde[n, a, b]
+    Tuu, Tuv, Tvv = stage1.T
+    T = np.stack([Tuu, Tuv, Tuv, Tvv], axis=-2).reshape(Tuu.shape[:-1] + (1, 2, 2, 4))
+    htilde = model.inner(x[..., None, None, None, :], T, normals[..., :, None, None, :])
+    h = np.einsum("...nab,...ai,...bj->...nij", htilde, C, C, optimize=True)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    Halpha = np.einsum("...ab,...nab->...n", stage1.ginv, htilde)
+    Hvec = np.einsum("...n,...nd->...d", Halpha, normals)
+    H2 = np.einsum("...n,...n->...", Halpha, Halpha)
+    cos_alpha = model.inner(x, apply_J(frame[..., 0, :]), frame[..., 1, :])
+    A2 = np.einsum("...nij->...", h**2)
+    return h, Hvec, H2, cos_alpha, nabla_J_squared(h), A2
+
+
+def compute_geometry(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> GridGeometry:
+    """Stage 2: stage 1 plus the adapted frame, the second fundamental form
+    h in it, cos(alpha) = omega(e1, e2), |nabla J|^2 and |A|^2."""
+    stage1 = compute_mean_curvature(grid, floor)
+    g11, g12, g22 = stage1.g11, stage1.g12, stage1.g22
+    lam_min = 0.5 * (g11 + g22) - np.hypot(0.5 * (g11 - g22), g12)
+    if np.any(lam_min < floor**2):
+        raise DegenerateImmersionError("induced metric not SPD above floor")
+    model, x = grid.model, grid.coords
+    frame = _adapted_frames(model, x, stage1.Fu, stage1.Fv, floor)
+    return GridGeometry(grid, stage1, frame, *_second_fundamental(model, x, stage1, frame))
 
 
 def frame_rotated_scalars(geom: GridGeometry, theta, psi):
     """Derived scalars recomputed after rotating (e1, e2) by theta and
     (v1, v2) by psi (orientation preserved).  Used by invariance tests."""
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(psi), np.sin(psi)
+    def rotate(a, b, phi):
+        c, s = np.cos(phi), np.sin(phi)
+        return c * a + s * b, -s * a + c * b
+
     f = geom.frame
-    e1 = ct * f[..., 0, :] + st * f[..., 1, :]
-    e2 = -st * f[..., 0, :] + ct * f[..., 1, :]
-    v1 = cp * f[..., 2, :] + sp * f[..., 3, :]
-    v2 = -sp * f[..., 2, :] + cp * f[..., 3, :]
+    e1, e2 = rotate(f[..., 0, :], f[..., 1, :], theta)
+    v1, v2 = rotate(f[..., 2, :], f[..., 3, :], psi)
     rframe = np.stack([e1, e2, v1, v2], axis=-2)
-    h, Hvec, H2, cos_alpha, nablaJ, A2 = _second_fundamental(
-        geom.ambient_metric, geom.Fu, geom.Fv, geom.ginv, geom.T, rframe, geom.omega
-    )
-    return {
-        "h": h,
-        "H": Hvec,
-        "H_norm_sq": H2,
-        "cos_alpha": cos_alpha,
-        "nablaJ_sq": nablaJ,
-        "A_sq": A2,
-    }
+    values = _second_fundamental(geom.grid.model, geom.grid.coords, geom.stage1, rframe)
+    return dict(zip(("h", "H", "H_norm_sq", "cos_alpha", "nablaJ_sq", "A_sq"), values))
 
 
 def nabla_J_squared(h):
@@ -586,11 +440,11 @@ def nabla_J_squared(h):
     )
 
 
-def laplace_beltrami(grid: SurfaceGrid, f, geom: GridGeometry | None = None):
+def laplace_beltrami(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | None = None):
     """Surface Laplacian (1/sqrt g) d_a (sqrt g g^{ab} d_b f) of a nodal
     scalar field."""
     if geom is None:
-        geom = compute_geometry(grid)
+        geom = compute_mean_curvature(grid)
     fu = field_deriv(grid, f, axis=0)
     fv = field_deriv(grid, f, axis=1)
     wu = geom.sqrtg * (geom.ginv[..., 0, 0] * fu + geom.ginv[..., 0, 1] * fv)
@@ -626,62 +480,29 @@ def sphere_latitude_weights(nv):
     return weights
 
 
-def quadrature_weights(grid: SurfaceGrid, geom: GridGeometry | None = None):
+def quadrature_weights(grid: SurfaceGrid, geom: MeanCurvature | GridGeometry | None = None):
     """Per-node weights w with sum(f * w) = integrate_scalar(grid, f)."""
     if geom is None:
-        geom = compute_geometry(grid)
+        geom = compute_mean_curvature(grid)
     if grid.topology == "torus":
         return geom.sqrtg * (grid.du * grid.dv)
     wv = sphere_latitude_weights(grid.nv)
     return geom.sqrtg * wv[None, :] * grid.du
 
 
-def integrate_scalar(grid: SurfaceGrid, f, geom: GridGeometry | None = None):
+def integrate_scalar(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | None = None):
     """Surface integral of a nodal scalar field with the grid quadrature.
 
     Trapezoidal (spectral) in the periodic directions; sphere grids use the
     latitude-weighted pole closure in v.
     """
     if geom is None:
-        geom = compute_geometry(grid)
+        geom = compute_mean_curvature(grid)
     vals = np.asarray(f) * geom.sqrtg
     if grid.topology == "torus":
         return float(np.sum(vals) * grid.du * grid.dv)
     wv = sphere_latitude_weights(grid.nv)
     return float(np.sum(vals @ wv) * grid.du)
-
-
-# -- spec-level per-node operations ---------------------------------------
-
-
-def node_partials(grid: SurfaceGrid, i, j, geom: GridGeometry | None = None):
-    if geom is None:
-        geom = compute_geometry(grid)
-    return (
-        geom.Fu[i, j],
-        geom.Fv[i, j],
-        geom.Fuu[i, j],
-        geom.Fuv[i, j],
-        geom.Fvv[i, j],
-    )
-
-
-def adapted_frame(grid: SurfaceGrid, i, j, geom: GridGeometry | None = None):
-    if geom is None:
-        geom = compute_geometry(grid)
-    return AdaptedFrame(*geom.frame[i, j])
-
-
-def second_fundamental_form(grid: SurfaceGrid, i, j, geom: GridGeometry | None = None):
-    if geom is None:
-        geom = compute_geometry(grid)
-    return SecondFundamentalForm(geom.h[i, j]), geom.H[i, j]
-
-
-def kahler_angle_cos(grid: SurfaceGrid, i, j, geom: GridGeometry | None = None):
-    if geom is None:
-        geom = compute_geometry(grid)
-    return float(geom.cos_alpha[i, j])
 
 
 # -- snapshot persistence (kflow-grid/1) -----------------------------------
@@ -730,7 +551,7 @@ def grid_from_dict(doc, model: AmbientModel | None = None) -> SurfaceGrid:
 
 def save_grid(path, grid: SurfaceGrid, t=None):
     with open(path, "w") as fh:
-        json.dump(grid_to_dict(grid, t=t), fh)
+        fh.write(json.dumps(grid_to_dict(grid, t=t)))
 
 
 def load_grid(path, model: AmbientModel | None = None):

@@ -114,20 +114,7 @@ def round_sphere(
 def _homogeneous_to_grid(model: FubiniStudyCP2, Z):
     """Pick the pivot chart per node and produce (chart_ids, coords)."""
     pivot = np.argmax(np.abs(Z), axis=-1)
-    nu, nv = Z.shape[:2]
-    chart_ids = pivot.astype(int)
-    coords = np.empty((nu, nv, 4))
-    for c in range(3):
-        m = pivot == c
-        if not np.any(m):
-            continue
-        slots = [s for s in range(3) if s != c]
-        z = np.stack(
-            [Z[m][:, slots[0]] / Z[m][:, c], Z[m][:, slots[1]] / Z[m][:, c]],
-            axis=-1,
-        )
-        coords[m] = from_complex(z)
-    return chart_ids, coords
+    return pivot, from_complex(model._affine(Z, pivot))
 
 
 def cp1(

@@ -320,3 +320,59 @@ def test_fs_exp_matches_rk4_geodesic_ode():
     xs, cs = cp2.exp(x0, 0, v0, 1.0)
     assert np.all(cs == 0)
     assert np.abs(xs - x).max() <= 1e-8
+
+
+# The former Fubini-Study tensor code, kept as an oracle for the closed-form
+# contractions that `metric` and `christoffel` are now built from.
+_C_BASIS = np.array([[1.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0j]])
+
+
+def _fs_metric_oracle(x):
+    """Real block form of the Hermitian metric (delta D - zbar z^T) / D²,
+    D = 1 + |z|²: each complex entry contributes [[Re, Im], [-Im, Re]]."""
+    z = to_complex(x)
+    denom = 1.0 + np.sum(np.abs(z) ** 2, axis=-1)
+    g_c = (np.eye(2) * denom[..., None, None] - np.conj(z)[..., :, None] * z[..., None, :])
+    g_c = g_c / denom[..., None, None] ** 2
+    out = np.empty(x.shape[:-1] + (4, 4))
+    for k in range(2):
+        for l in range(2):
+            out[..., 2 * k, 2 * l] = g_c[..., k, l].real
+            out[..., 2 * k, 2 * l + 1] = g_c[..., k, l].imag
+            out[..., 2 * k + 1, 2 * l] = -g_c[..., k, l].imag
+            out[..., 2 * k + 1, 2 * l + 1] = g_c[..., k, l].real
+    return out
+
+
+def _fs_christoffel_oracle(x):
+    """Gamma(C_b, C_c)^k = -(C_kb s_c + C_kc s_b) / D with s = zbar . C, in
+    real components, indexed [..., k, b, c]."""
+    z = to_complex(x)
+    s = np.conj(z) @ _C_BASIS
+    denom = (1.0 + np.sum(np.abs(z) ** 2, axis=-1))[..., None, None, None]
+    t = _C_BASIS[:, :, None] * s[..., None, None, :]
+    w = -(t + np.swapaxes(t, -1, -2)) / denom
+    return np.stack([w.real, w.imag], axis=-3).reshape(w.shape[:-3] + (4, 4, 4))
+
+
+@pytest.mark.parametrize(
+    "name, chart", [("Fubini-Study-CP2", 0), ("Fubini-Study-CP2", 1), ("Fubini-Study-CP2", 2),
+                    ("flat-C2", 0), ("flat-T4", 0)]
+)
+def test_contractions_match_tensors(name, chart):
+    """inner and connection, and the metric and christoffel tensors built
+    from them, match the contractions of independently coded tensors."""
+    model = get_model(name)
+    rng = np.random.default_rng(5 + chart)
+    x = 1.5 * rng.uniform(-1.0, 1.0, size=(200, 4))
+    u, w = rng.normal(size=(2, 200, 4))
+    if model.is_flat:
+        G, Gamma = np.broadcast_to(np.eye(4), (200, 4, 4)), np.zeros((200, 4, 4, 4))
+    else:
+        G, Gamma = _fs_metric_oracle(x), _fs_christoffel_oracle(x)
+    assert np.abs(model.metric(x, chart) - G).max() <= 1e-14 * np.abs(G).max()
+    assert np.abs(model.christoffel(x, chart) - Gamma).max() <= 1e-14 * np.abs(Gamma).max()
+    g = np.einsum("...a,...ab,...b->...", u, G, w)
+    gamma = np.einsum("...kij,...i,...j->...k", Gamma, u, w)
+    assert np.abs(model.inner(x, u, w) - g).max() <= 1e-14 * np.abs(g).max()
+    assert np.abs(model.connection(x, u, w) - gamma).max() <= 1e-14 * np.abs(gamma).max()

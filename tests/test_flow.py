@@ -13,9 +13,8 @@ from kflow.flow import (
     resolved_spacing,
     run,
     step,
-    velocity_field,
 )
-from kflow.immersion import compute_geometry, integrate_scalar
+from kflow.immersion import compute_geometry, compute_mean_curvature, integrate_scalar
 from kflow.surfaces import build_surface
 
 C2 = get_model("flat-C2")
@@ -36,7 +35,7 @@ def test_flow_config_validation():
 
 def test_holomorphic_plane_is_stationary():
     grid = build_surface("plane", C2, nu=16, nv=16)
-    vel, _ = velocity_field(grid)
+    vel = compute_mean_curvature(grid).H
     assert np.abs(vel).max() < 1e-10
     result = run(grid, FlowConfig(t_end=0.01, converged_H_tol=1e-6))
     assert result.stop_reason == "converged"
@@ -109,12 +108,12 @@ def test_single_step_first_order_consistency():
     """One RK4 step moves each node by dt*H + O(dt^2)."""
     grid = build_surface("round-sphere", C2, radius=1.0, nu=32, nv=16)
     cfg = FlowConfig(t_end=1.0)
-    vel, info = velocity_field(grid)
-    dt = cfg.cfl_factor * resolved_spacing(grid, info) ** 2
+    vel = compute_mean_curvature(grid)
+    dt = cfg.cfl_factor * resolved_spacing(grid, vel) ** 2
     nxt = step(FlowState(grid=grid.copy(), t=0.0, step_index=0), cfg)
     disp = nxt.grid.coords - grid.coords
     assert nxt.t == pytest.approx(dt)
-    assert np.abs(disp - dt * vel).max() < 5 * dt**2
+    assert np.abs(disp - dt * vel.H).max() < 5 * dt**2
 
 
 def test_snapshot_and_diagnostics_strides():
@@ -186,3 +185,25 @@ def test_run_differentiates_each_recorded_state_once(monkeypatch):
     assert len(calls) == len(result.records)
     final = real(result.state.grid)
     assert result.holomorphicity_gap == float(np.max(np.abs(1.0 - final.cos_alpha)))
+
+
+def test_run_evaluates_partials_once_per_rk_stage(monkeypatch):
+    """A recorded state's stage 1 geometry is the first RK stage of the next
+    step: without redistribution, a run to t_end differentiates the grid
+    four times per step plus once for the initial record."""
+    import kflow.immersion as immersion
+
+    calls = []
+    real = immersion.grid_partials
+
+    def counting(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(immersion, "grid_partials", counting)
+    grid = build_surface("round-sphere", C2, radius=1.0, nu=32, nv=16)
+    result = run(grid, FlowConfig(t_end=0.05, diagnostics_stride=3))
+    assert result.stop_reason == "reached-t-end"
+    steps = result.state.step_index
+    assert steps > 6 and len(result.records) > 3  # records mid-run, not only at the ends
+    assert len(calls) == 4 * steps + 1

@@ -1,6 +1,8 @@
 """Discrete surface geometry against analytic oracles: induced metric,
 quadrature, mean curvature, Kähler angle, Laplacian, snapshot IO."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +15,12 @@ from kflow.immersion import (
     _OFFS,
     SNAPSHOT_FORMAT,
     SurfaceGrid,
-    _per_chart,
     compute_geometry,
     compute_mean_curvature,
     field_deriv,
     frame_rotated_scalars,
     grid_partials,
     integrate_scalar,
-    kahler_angle_cos,
     laplace_beltrami,
     load_grid,
     nabla_J_squared,
@@ -64,7 +64,7 @@ class TestPlane:
         grid = _tilted_plane(theta)
         geom = compute_geometry(grid)
         assert np.abs(geom.cos_alpha - np.cos(theta)).max() < 1e-11
-        assert abs(kahler_angle_cos(grid, 3, 5, geom) - np.cos(theta)) < 1e-11
+        assert abs(geom.cos_alpha[3, 5] - np.cos(theta)) < 1e-11
 
     def test_area_is_extent_product(self):
         grid = build_surface("plane", C2, extent=(1.5, 0.8), nu=16, nv=16)
@@ -103,10 +103,10 @@ class TestRoundSphere:
         assert np.abs(self.geom.A_sq - 2 / 0.7**2).max() < 1e-4
 
     def test_fast_path_matches_full_geometry(self):
-        H, info = compute_mean_curvature(self.grid)
-        assert np.abs(H - self.geom.H).max() < 1e-12
-        assert np.abs(info["sqrtg"] - self.geom.sqrtg).max() < 1e-12
-        assert np.abs(info["H_norm_sq"] - self.geom.H_norm_sq).max() < 1e-12
+        stage1 = compute_mean_curvature(self.grid)
+        assert np.abs(stage1.H - self.geom.H).max() < 1e-12
+        assert np.abs(stage1.sqrtg - self.geom.sqrtg).max() < 1e-12
+        assert np.abs(stage1.H_norm_sq - self.geom.H_norm_sq).max() < 1e-12
 
     def test_latitude_weights_integrate_sin(self):
         # weights multiply nodal f*sqrt(g); on the unit sphere sqrt(g) = sin v,
@@ -205,9 +205,45 @@ def test_frame_rotation_leaves_scalars_invariant():
 def test_adapted_frame_is_orthonormal():
     grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=32, nv=16)
     geom = compute_geometry(grid)
-    G = geom.ambient_metric
+    G = _per_chart(CP2, grid.chart_ids, grid.coords, CP2.metric)
     gram = np.einsum("...ia,...ab,...jb->...ij", geom.frame, G, geom.frame)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
+
+
+# The former construction of v2: <v2, X> = sqrt(det G) eps(e1, e2, v1, X),
+# raised with the inverse metric (kept here as an oracle).
+_EPS4 = np.zeros((4, 4, 4, 4))
+for _perm in itertools.permutations(range(4)):
+    _EPS4[_perm] = np.linalg.det(np.eye(4)[list(_perm)])
+
+
+def _frame_test_grids():
+    cp2 = build_surface("perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=32, nv=16)
+    assert len(np.unique(cp2.chart_ids)) == 3
+    return [cp2, _wrapped_torus(), build_surface("round-sphere", C2, radius=0.8, nu=32, nv=16)]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_v2_matches_eps4_oracle(index):
+    grid = _frame_test_grids()[index]
+    geom = compute_geometry(grid)
+    e1, e2, v1, v2 = np.moveaxis(geom.frame, -2, 0)
+    G = _per_chart(grid.model, grid.chart_ids, grid.coords, grid.model.metric)
+    w = np.sqrt(np.linalg.det(G))[..., None] * np.einsum("abcd,...a,...b,...c->...d", _EPS4, e1, e2, v1)
+    want = np.einsum("...da,...a->...d", np.linalg.inv(G), w)
+    want /= np.sqrt(np.einsum("...a,...ab,...b->...", want, G, want))[..., None]
+    assert np.abs(v2 - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_frame_is_positively_oriented(index):
+    """sqrt(det G) eps(e1, e2, v1, v2) = +1: the frame has the ambient's
+    complex orientation."""
+    grid = _frame_test_grids()[index]
+    geom = compute_geometry(grid)
+    G = _per_chart(grid.model, grid.chart_ids, grid.coords, grid.model.metric)
+    vol = np.sqrt(np.linalg.det(G)) * np.linalg.det(geom.frame)
+    assert np.abs(vol - 1.0).max() < 1e-13
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -245,8 +281,30 @@ def test_tilted_plane_angle_property(theta):
 
 
 # -- oracle: the neighbour-gather stencils replaced by the padded lift -------
-# Copied from the former immersion.py and flow.redistribute: every neighbour
-# (i + a, j + b) is fancy-indexed and re-expressed in the centre's chart.
+# Copied from the former immersion.py, flow.redistribute and the models'
+# local_coords: every neighbour (i + a, j + b) is fancy-indexed and
+# re-expressed in the centre's chart.
+
+
+def _per_chart(model, charts, coords, fn):
+    """Evaluate a per-chart tensor function over a mixed-chart node array."""
+    out = None
+    for c in np.unique(charts):
+        m = charts == c
+        val = fn(coords[m], int(c))
+        if out is None:
+            out = np.empty(charts.shape + val.shape[1:], dtype=val.dtype)
+        out[m] = val
+    return out
+
+
+def _local_coords(model, center_chart, q_x, q_chart):
+    """Coordinates of the points q expressed in a centre's chart (CP²)."""
+    out = np.empty_like(q_x)
+    for c in np.unique(q_chart):
+        mask = q_chart == c
+        out[mask] = model.to_chart(q_x[mask], int(c), center_chart)
+    return out
 
 
 _INDEX_CACHE: dict = {}
@@ -295,7 +353,7 @@ def gather_neighbor_coords(grid: SurfaceGrid, a, b):
         out = np.empty_like(qx)
         for c in np.unique(cc):
             m = cc == c
-            out[m] = model.local_coords(grid.coords[m], int(c), qx[m], qc[m])
+            out[m] = _local_coords(model, int(c), qx[m], qc[m])
     if grid.period_offsets is not None:
         out = out + wu[..., None] * grid.period_offsets[0]
         out = out + wv[..., None] * grid.period_offsets[1]
@@ -371,22 +429,15 @@ def gathered_redistribute(state: FlowState, strength: float) -> FlowState:
     ) / 4.0
     disp = avg - grid.coords
     Fu, Fv, *_ = gathered_partials(grid)
-    model = grid.model
-    if model.is_flat:
-        du_ = np.einsum("...a,...a->...", disp, Fu)
-        dv_ = np.einsum("...a,...a->...", disp, Fv)
-        g11 = np.einsum("...a,...a->...", Fu, Fu)
-        g12 = np.einsum("...a,...a->...", Fu, Fv)
-        g22 = np.einsum("...a,...a->...", Fv, Fv)
-    else:
-        Gm = _per_chart(model, grid.chart_ids, grid.coords, model.metric)
-        GFu = np.einsum("...ab,...b->...a", Gm, Fu)
-        GFv = np.einsum("...ab,...b->...a", Gm, Fv)
-        du_ = np.einsum("...a,...a->...", disp, GFu)
-        dv_ = np.einsum("...a,...a->...", disp, GFv)
-        g11 = np.einsum("...a,...a->...", Fu, GFu)
-        g12 = np.einsum("...a,...a->...", Fu, GFv)
-        g22 = np.einsum("...a,...a->...", Fv, GFv)
+    # The metric contraction is the program's own `model.inner` (checked
+    # against `metric` in test_ambient), so that the gathered stencils are
+    # compared bit for bit on curved grids too.
+    x = grid.coords
+    du_ = grid.model.inner(x, disp, Fu)
+    dv_ = grid.model.inner(x, disp, Fv)
+    g11 = grid.model.inner(x, Fu, Fu)
+    g12 = grid.model.inner(x, Fu, Fv)
+    g22 = grid.model.inner(x, Fv, Fv)
     det = g11 * g22 - g12**2
     cu = (g22 * du_ - g12 * dv_) / det
     cv = (g11 * dv_ - g12 * du_) / det
