@@ -4,7 +4,9 @@ Three models are shipped: flat C² (one global chart), the flat 4-torus with
 lattice periods, and CP² with the Fubini-Study metric covered by the three
 standard affine charts.  All evaluators are vectorized over a leading batch
 shape; points carry real chart coordinates ordered (x1, y1, x2, y2) with
-z_k = x_k + i y_k.
+z_k = x_k + i y_k.  Every chart argument is one chart id or an integer array
+of per-point ids that broadcasts against the batch shape, so callers never
+group points by chart.
 
 Sign convention (used by every orientation-sensitive computation in the
 package): omega(U, V) := g(JU, V), so that <U, V> = omega(U, JV) holds
@@ -98,10 +100,6 @@ class AmbientModel:
         raise NotImplementedError
 
     def to_chart(self, x, chart_from, chart_to):
-        raise NotImplementedError
-
-    def push_forward(self, x, v, chart_from, chart_to):
-        """Components of v at x under the transition chart_from -> chart_to."""
         raise NotImplementedError
 
     def preferred_chart(self, x, chart):
@@ -212,9 +210,6 @@ class _FlatModel(AmbientModel):
             np.zeros(lead),
         )
 
-    def push_forward(self, x, v, chart_from, chart_to):
-        return np.asarray(v, dtype=float).copy()
-
     # Single-chart models: to_chart maps to the canonical representative.
 
     def chart_valid(self, x, chart):
@@ -315,19 +310,12 @@ class FubiniStudyCP2(AmbientModel):
     # -- transitions in homogeneous coordinates ---------------------------
 
     @staticmethod
-    def _homogeneous(z, chart):
-        """Insert 1 in slot `chart`, filling the others with z in order."""
-        lead = z.shape[:-1]
-        h = np.empty(lead + (3,), dtype=complex)
-        h[..., chart] = 1.0
-        h[..., _SLOTS[chart]] = z
+    def _homogeneous(z, chart, pivot=1.0):
+        """Insert `pivot` in slot `chart`, filling the others with z in
+        order; pivot 0 lifts a velocity."""
+        h = np.full(z.shape[:-1] + (3,), pivot, dtype=complex)
+        np.put_along_axis(h, _SLOTS[np.broadcast_to(chart, z.shape[:-1])], z, axis=-1)
         return h
-
-    @staticmethod
-    def _homogeneous_velocity(u, chart):
-        dh = np.zeros(u.shape[:-1] + (3,), dtype=complex)
-        dh[..., _SLOTS[chart]] = u
-        return dh
 
     @staticmethod
     def _affine(h, chart):
@@ -345,18 +333,9 @@ class FubiniStudyCP2(AmbientModel):
         return from_complex((dh[..., slots] * pivot - h[..., slots] * dpivot) / pivot**2)
 
     def to_chart(self, x, chart_from, chart_to):
-        if chart_from == chart_to:
-            return np.asarray(x, dtype=float).copy()
         h = self._homogeneous(to_complex(x), chart_from)
         with np.errstate(divide="ignore", invalid="ignore"):
             return from_complex(self._affine(h, chart_to))
-
-    def push_forward(self, x, v, chart_from, chart_to):
-        if chart_from == chart_to:
-            return np.asarray(v, dtype=float).copy()
-        h = self._homogeneous(to_complex(x), chart_from)
-        dh = self._homogeneous_velocity(to_complex(v), chart_from)
-        return self._push_down(h, dh, chart_to)
 
     def preferred_chart(self, x, chart):
         """Chart maximizing the homogeneous pivot, i.e. minimizing max|z|."""
@@ -434,7 +413,7 @@ class FubiniStudyCP2(AmbientModel):
     def _project(self, psi, chart):
         """Chart coordinates and ids of the lines psi: `chart` where every
         coordinate stays within transition_radius, the pivot chart elsewhere."""
-        charts = np.full(psi.shape[:-1], int(chart))
+        charts = np.broadcast_to(chart, psi.shape[:-1]).astype(int)
         with np.errstate(divide="ignore", invalid="ignore"):
             far = ~(np.max(np.abs(self._affine(psi, charts)), axis=-1) <= self.transition_radius)
         charts[far] = np.argmax(np.abs(psi[far]), axis=-1)
@@ -447,7 +426,7 @@ class FubiniStudyCP2(AmbientModel):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         v = np.atleast_2d(np.asarray(v, dtype=float))
         h = self._homogeneous(to_complex(x), chart)
-        dh = self._homogeneous_velocity(to_complex(v), chart)
+        dh = self._homogeneous(to_complex(v), chart, pivot=0.0)
         hn = np.linalg.norm(h, axis=-1, keepdims=True)
         psi = h / hn
         xi = (dh - psi * np.sum(dh * np.conj(psi), axis=-1, keepdims=True)) / hn
@@ -476,9 +455,10 @@ class FubiniStudyCP2(AmbientModel):
         return TangentVector(base=p, v=self._push_down(psi_p, w / np.sinc(d / np.pi), p.chart_id))
 
     def distance(self, x1, chart1, x2, chart2):
-        h1 = self._homogeneous(to_complex(np.asarray(x1, dtype=float)), int(chart1))
-        h2 = self._homogeneous(to_complex(np.asarray(x2, dtype=float)), int(chart2))
-        inner = np.abs(np.sum(h1 * np.conj(h2), axis=-1))
+        h1 = self._homogeneous(to_complex(np.asarray(x1, dtype=float)), chart1)
+        h2 = self._homogeneous(to_complex(np.asarray(x2, dtype=float)), chart2)
+        # einsum forms <h1, conj h2> without a broadcast (..., 3) product
+        inner = np.abs(np.einsum("...k,...k->...", h1, np.conj(h2)))
         n1 = np.linalg.norm(h1, axis=-1)
         n2 = np.linalg.norm(h2, axis=-1)
         return np.arccos(np.clip(inner / (n1 * n2), -1.0, 1.0))

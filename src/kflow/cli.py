@@ -56,11 +56,7 @@ def build_model(resolved):
 
 def build_grid(resolved, model):
     surf = resolved["surface"]
-    params = dict(surf["params"])
-    for key in ("origin", "a_dir", "b_dir", "extent", "center", "frequencies", "line_coeffs"):
-        if key in params:
-            params[key] = tuple(params[key])
-    return build_surface(surf["family"], model, nu=surf["nu"], nv=surf["nv"], **params)
+    return build_surface(surf["family"], model, nu=surf["nu"], nv=surf["nv"], **surf["params"])
 
 
 def flow_config_from(resolved):

@@ -132,7 +132,6 @@ _SWEEP_DEFAULTS = {
     "deltas": None,  # required
     "base": None,  # required
     "eps0": 0.1,
-    "converged_gap_tol": 1e-3,
 }
 
 

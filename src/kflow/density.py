@@ -32,25 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientModel, ChartPoint
-from .errors import CalibrationError, ChartDomainError, CurvedModelError
+from .errors import CalibrationError, CurvedModelError
 from .immersion import (
     SurfaceGrid,
     compute_mean_curvature,
     integrate_scalar,
     quadrature_weights,
 )
-
-
-@dataclass(frozen=True)
-class NormalChart:
-    """Geodesic normal coordinates centered at `origin`.
-
-    `basis` rows are four ambient coordinate vectors, orthonormal for the
-    ambient metric at the origin; `radius` bounds the validity region."""
-
-    origin: ChartPoint
-    basis: np.ndarray
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -71,38 +59,6 @@ def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> Dens
     return DensityQuery(x0=x0, t0=float(t0), r=float(r))
 
 
-def build_normal_chart(model: AmbientModel, origin: ChartPoint, radius=None) -> NormalChart:
-    """Orthonormalize the coordinate basis at `origin` (Gram-Schmidt in the
-    ambient metric) to get normal coordinates."""
-    if radius is None:
-        radius = min(model.injectivity_radius_bound, 1e6)
-    G = model.metric(origin.x[None], origin.chart_id)[0]
-    basis = []
-    for a in range(4):
-        v = np.zeros(4)
-        v[a] = 1.0
-        for b in basis:
-            v = v - (b @ G @ v) * b
-        v = v / np.sqrt(v @ G @ v)
-        basis.append(v)
-    return NormalChart(origin=origin, basis=np.array(basis), radius=float(radius))
-
-
-def normal_coordinates(model: AmbientModel, chart: NormalChart, q: ChartPoint):
-    """Components of log(origin -> q) in the orthonormal basis; their
-    Euclidean length equals the geodesic distance."""
-    d = float(
-        model.distance(chart.origin.x, chart.origin.chart_id, q.x, q.chart_id)
-    )
-    if d >= chart.radius:
-        raise ChartDomainError(
-            f"point at distance {d:.4f} outside normal chart of radius {chart.radius:.4f}"
-        )
-    v = model.log(chart.origin, q).v
-    G = model.metric(chart.origin.x[None], chart.origin.chart_id)[0]
-    return chart.basis @ (G @ v)
-
-
 def cutoff(s, r):
     """C^2 cutoff: 1 on [0, r], 0 beyond 2r, quintic smoothstep between.
     The derivative is bounded by (15/8)/r."""
@@ -111,38 +67,22 @@ def cutoff(s, r):
     return 1.0 - (10.0 * w**3 - 15.0 * w**4 + 6.0 * w**5)
 
 
-def _distances_to(model: AmbientModel, grid: SurfaceGrid, x0: ChartPoint):
-    """Geodesic distance from x0 to every node (per-chart batched)."""
-    out = np.empty(grid.chart_ids.shape)
-    for c in np.unique(grid.chart_ids):
-        m = grid.chart_ids == c
-        out[m] = model.distance(grid.coords[m], int(c), x0.x, x0.chart_id)
-    return out
+def _kernel(d, r, tau):
+    """phi(d) exp(-d^2 / (4 tau)) / (4 pi tau): the backward heat kernel of
+    scale tau with the cutoff of radius r (none when r is None)."""
+    phi = 1.0 if r is None else cutoff(d, r)  # first: fewer arrays live at once
+    return phi * np.exp(-(d**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
 
 
 def _distance_matrix(model: AmbientModel, xs, cs, grid: SurfaceGrid):
     """Distances from each center (xs[k], cs[k]) to every grid node,
     shape (len(xs), nu * nv)."""
-    coords = grid.coords.reshape(-1, 4)
-    charts = grid.chart_ids.reshape(-1)
-    out = np.empty((len(xs), coords.shape[0]))
-    cs = np.asarray(cs)
-    for c1 in np.unique(cs):
-        m1 = cs == c1
-        for c2 in np.unique(charts):
-            m2 = charts == c2
-            out[np.ix_(m1, m2)] = model.distance(
-                xs[m1][:, None, :], int(c1), coords[m2][None, :, :], int(c2)
-            )
-    return out
-
-
-def _kernel_densities(D, w, r):
-    """Density values for a block of centers given distances D (Q, N) and
-    quadrature weights w (N,), kernel scale tau = r^2."""
-    tau = r * r
-    K = cutoff(D, r) * np.exp(-(D**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
-    return K @ w
+    return model.distance(
+        xs[:, None, :],
+        np.asarray(cs)[:, None],
+        grid.coords.reshape(1, -1, 4),
+        grid.chart_ids.reshape(1, -1),
+    )
 
 
 def parabolic_density(
@@ -152,10 +92,8 @@ def parabolic_density(
     tau = query.t0 - t
     if tau <= 0:
         raise ValueError(f"query time t0 = {query.t0} must exceed state time t = {t}")
-    d = _distances_to(grid.model, grid, query.x0)
-    phi = cutoff(d, query.r)
-    rho = np.exp(-(d**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
-    return float(integrate_scalar(grid, phi * rho, geom))
+    d = grid.model.distance(grid.coords, grid.chart_ids, query.x0.x, query.x0.chart_id)
+    return float(integrate_scalar(grid, _kernel(d, query.r, tau), geom))
 
 
 def calibrate_r0(
@@ -187,23 +125,15 @@ def calibrate_r0(
     D_nodes = _distance_matrix(model, all_x, all_c, grid)
     base_x = all_x[flat_idx]
     base_c = all_c[flat_idx]
-    norms = np.array(
-        [model.norm(x, int(c), u) for x, c, u in zip(base_x, base_c, dirs)]
-    )
-    unit = dirs / norms[:, None]
+    unit = dirs / model.norm(base_x, base_c, dirs)[:, None]
 
     def max_density(r):
-        best = _kernel_densities(D_nodes, w, r).max()
+        tau = r * r
+        best = (_kernel(D_nodes, r, tau) @ w).max()
         # random ambient centers within r of the surface
-        off_x = np.empty((n_offsurface, 4))
-        off_c = np.empty(n_offsurface, dtype=int)
-        for c in np.unique(base_c):
-            m = base_c == c
-            xs, cs = model.exp(base_x[m], int(c), unit[m] * (fracs[m] * r)[:, None], 1.0)
-            off_x[m] = xs
-            off_c[m] = cs
+        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None], 1.0)
         D_off = _distance_matrix(model, off_x, off_c, grid)
-        return max(best, _kernel_densities(D_off, w, r).max())
+        return max(best, (_kernel(D_off, r, tau) @ w).max())
 
     ok = lambda r: max_density(r) <= 1.0 + eps0 / 2.0
     if not ok(floor):
@@ -259,7 +189,7 @@ def monitor_regularity(
         xs = grid.coords.reshape(-1, 4)[idx]
         cs = grid.chart_ids.reshape(-1)[idx]
         D = _distance_matrix(grid.model, xs, cs, grid)
-        phis = _kernel_densities(D, w, r0)
+        phis = _kernel(D, r0, r0 * r0) @ w
         for flat, phi in zip(idx, phis):
             rows.append(
                 MonitorRow(
@@ -301,38 +231,33 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
         )
     r = query.r
     tau = r * r
-
-    def phi_static(grid):
-        d = _distances_to(model, grid, query.x0)
-        f = cutoff(d, r) * np.exp(-(d**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
-        return integrate_scalar(grid, f)
-
-    h1, h2 = tm - tp, tn - tm
-    dphi_dt = (
-        -h2 / (h1 * (h1 + h2)) * phi_static(gp)
-        + (h2 - h1) / (h1 * h2) * phi_static(gm)
-        + h1 / (h2 * (h1 + h2)) * phi_static(gn)
+    dp, dm, dn = (
+        model.distance(g.coords, g.chart_ids, query.x0.x, query.x0.chart_id)
+        for g in (gp, gm, gn)
     )
     stage1 = compute_mean_curvature(gm)
+    kernel = _kernel(dm, r, tau)
+    h1, h2 = tm - tp, tn - tm
+    dphi_dt = (
+        -h2 / (h1 * (h1 + h2)) * integrate_scalar(gp, _kernel(dp, r, tau))
+        + (h2 - h1) / (h1 * h2) * integrate_scalar(gm, kernel, stage1)
+        + h1 / (h2 * (h1 + h2)) * integrate_scalar(gn, _kernel(dn, r, tau))
+    )
     H = stage1.H
-    d = _distances_to(model, gm, query.x0)
     rel = gm.coords - query.x0.x  # position relative to X0 (flat chart)
     if hasattr(model, "min_image"):
         rel = model.min_image(rel)
     FH = np.einsum("...a,...a->...", rel, H)
     H2 = np.einsum("...a,...a->...", H, H)
-    rho = np.exp(-(d**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
-    phi = cutoff(d, r)
     # grad(phi) . H = phi'(|F|) <F - X0, H> / |F|
-    w = np.clip((d - r) / r, 0.0, 1.0)
+    w = np.clip((dm - r) / r, 0.0, 1.0)
     dphi = -(30.0 * w**2 - 60.0 * w**3 + 30.0 * w**4) / r
     with np.errstate(invalid="ignore", divide="ignore"):
-        grad_term = np.where(d > 0, dphi * FH / np.where(d > 0, d, 1.0), 0.0)
+        grad_term = np.where(dm > 0, dphi * FH / np.where(dm > 0, dm, 1.0), 0.0)
+    # phi exp(-|F|^2 / (4 tau)) / (8 pi tau^2) = kernel / (2 tau)
     rhs = (
-        integrate_scalar(gm, grad_term * rho, stage1)
-        - integrate_scalar(
-            gm, phi / (8.0 * np.pi * tau**2) * np.exp(-(d**2) / (4.0 * tau)) * FH, stage1
-        )
-        - integrate_scalar(gm, phi * rho * H2, stage1)
+        integrate_scalar(gm, grad_term * _kernel(dm, None, tau), stage1)
+        - integrate_scalar(gm, kernel / (2.0 * tau) * FH, stage1)
+        - integrate_scalar(gm, kernel * H2, stage1)
     )
     return float(dphi_dt - rhs)

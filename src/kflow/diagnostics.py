@@ -102,8 +102,7 @@ def record(
     symp_area = integrate_scalar(grid, geom.cos_alpha, geom)
     min_cos = float(np.min(geom.cos_alpha))
     if min_cos > COS_ALPHA_FLOOR:
-        # sin^2/cos = 1/cos - cos
-        V = integrate_scalar(grid, 1.0 / geom.cos_alpha, geom) - symp_area
+        V = integrate_scalar(grid, geom.sin_sq_alpha / geom.cos_alpha, geom)
     else:
         V = float("nan")
     l2h = integrate_scalar(grid, geom.H_norm_sq, geom)

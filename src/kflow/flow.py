@@ -162,11 +162,7 @@ def _reassign_charts(grid: SurfaceGrid):
     z_mod = np.maximum(z_mod, np.hypot(grid.coords[..., 2], grid.coords[..., 3]))
     if z_mod.max() <= model.transition_radius:
         return grid
-    for c in np.unique(grid.chart_ids):
-        m = grid.chart_ids == c
-        new_c, new_x = model.preferred_chart(grid.coords[m], int(c))
-        grid.chart_ids[m] = new_c
-        grid.coords[m] = new_x
+    grid.chart_ids, grid.coords = model.preferred_chart(grid.coords, grid.chart_ids)
     return grid
 
 

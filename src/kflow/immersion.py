@@ -168,14 +168,8 @@ def _padded_lifts(grid: SurfaceGrid):
     present = np.flatnonzero(np.bincount(charts.ravel()))
     if len(present) == 1:
         return [(None, _pad(grid, grid.coords, offsets=grid.period_offsets))]
-    lifts = []
-    for c in present:
-        lift = np.empty_like(grid.coords)
-        for s in present:
-            m = charts == s
-            lift[m] = grid.model.to_chart(grid.coords[m], int(s), int(c))
-        lifts.append((charts == c, _pad(grid, lift)))
-    return lifts
+    to_chart = grid.model.to_chart
+    return [(charts == c, _pad(grid, to_chart(grid.coords, charts, c))) for c in present]
 
 
 def _stencil(grid: SurfaceGrid, fn):
@@ -267,6 +261,7 @@ class GridGeometry:
     H: np.ndarray  # (nu, nv, 4)
     H_norm_sq: np.ndarray
     cos_alpha: np.ndarray
+    sin_sq_alpha: np.ndarray  # from the normal components of J e1: no cancellation
     nablaJ_sq: np.ndarray
     A_sq: np.ndarray
 
@@ -379,8 +374,8 @@ def _adapted_frames(model, x, Fu, Fv, floor):
 
 
 def _second_fundamental(model, x, stage1: MeanCurvature, frame):
-    """h[alpha, i, j] in the frame, H, |H|^2, cos(alpha), |nabla J|^2 and
-    |A|^2 (the order of the GridGeometry fields)."""
+    """h[alpha, i, j] in the frame, H, |H|^2, cos(alpha), sin^2(alpha),
+    |nabla J|^2 and |A|^2 (the order of the GridGeometry fields)."""
     normals = frame[..., 2:, :]
     # M[a, i] = <F_a, e_i>;  e_i = C^a_i F_a with C = g^{-1} M
     F = np.stack([stage1.Fu, stage1.Fv], axis=-2)
@@ -395,14 +390,21 @@ def _second_fundamental(model, x, stage1: MeanCurvature, frame):
     Halpha = np.einsum("...ab,...nab->...n", stage1.ginv, htilde)
     Hvec = np.einsum("...n,...nd->...d", Halpha, normals)
     H2 = np.einsum("...n,...n->...", Halpha, Halpha)
-    cos_alpha = model.inner(x, apply_J(frame[..., 0, :]), frame[..., 1, :])
+    # J e1 is a unit vector: omega(e1, e2) = cos(alpha), and its normal
+    # components omega(e1, v1), omega(e1, v2) give sin^2(alpha)
+    je1 = apply_J(frame[..., 0, :])
+    cos_alpha = model.inner(x, je1, frame[..., 1, :])
+    sin_sq_alpha = (
+        model.inner(x, je1, frame[..., 2, :]) ** 2 + model.inner(x, je1, frame[..., 3, :]) ** 2
+    )
     A2 = np.einsum("...nij->...", h**2)
-    return h, Hvec, H2, cos_alpha, nabla_J_squared(h), A2
+    return h, Hvec, H2, cos_alpha, sin_sq_alpha, nabla_J_squared(h), A2
 
 
 def compute_geometry(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> GridGeometry:
     """Stage 2: stage 1 plus the adapted frame, the second fundamental form
-    h in it, cos(alpha) = omega(e1, e2), |nabla J|^2 and |A|^2."""
+    h in it, cos(alpha) = omega(e1, e2), sin^2(alpha), |nabla J|^2 and
+    |A|^2."""
     stage1 = compute_mean_curvature(grid, floor)
     g11, g12, g22 = stage1.g11, stage1.g12, stage1.g22
     lam_min = 0.5 * (g11 + g22) - np.hypot(0.5 * (g11 - g22), g12)
@@ -425,7 +427,8 @@ def frame_rotated_scalars(geom: GridGeometry, theta, psi):
     v1, v2 = rotate(f[..., 2, :], f[..., 3, :], psi)
     rframe = np.stack([e1, e2, v1, v2], axis=-2)
     values = _second_fundamental(geom.grid.model, geom.grid.coords, geom.stage1, rframe)
-    return dict(zip(("h", "H", "H_norm_sq", "cos_alpha", "nablaJ_sq", "A_sq"), values))
+    names = ("h", "H", "H_norm_sq", "cos_alpha", "sin_sq_alpha", "nablaJ_sq", "A_sq")
+    return dict(zip(names, values))
 
 
 def nabla_J_squared(h):

@@ -108,17 +108,6 @@ class TestFubiniStudy:
                 back = self.cp2.to_chart(self.cp2.to_chart(x, a, b), b, a)
                 assert np.abs(back - x).max() < 1e-12
 
-    def test_transition_is_isometric(self):
-        """Pushed-forward vectors keep their length across charts."""
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0.3, 0.9, size=(6, 4))
-        v = rng.normal(size=(6, 4))
-        n0 = self.cp2.norm(x, 0, v)
-        y = self.cp2.to_chart(x, 0, 1)
-        w = self.cp2.push_forward(x, v, 0, 1)
-        n1 = self.cp2.norm(y, 1, w)
-        assert np.abs(n0 - n1).max() < 1e-10
-
     def test_distance_symmetry_and_self(self):
         xs = _points(self.cp2, n=10, seed=5)
         ys = _points(self.cp2, n=10, seed=6)
@@ -204,6 +193,82 @@ def test_preferred_chart_keeps_point_fixed(seed):
     d = cp2.distance(x, 0, x2, int(c2[0]))
     assert float(d[0]) < 1e-7
     assert np.max(np.abs(to_complex(x2))) <= np.sqrt(2.0) + 1e-9
+
+
+# -- per-point chart ids ----------------------------------------------------
+
+
+class TestPerPointCharts:
+    """Chart operations called with one chart id per point equal the calls
+    made chart by chart on the same batch, bit for bit."""
+
+    cp2 = get_model("Fubini-Study-CP2")
+
+    @staticmethod
+    def _batch(n=30, seed=21, scale=0.8):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-scale, scale, size=(n, 4))
+        charts = np.arange(n) % 3  # every chart occurs
+        return rng, xs, charts
+
+    def _per_chart(self, charts, fn):
+        """Oracle: fn(mask, chart) evaluated one chart at a time."""
+        out = None
+        for c in range(3):
+            m = charts == c
+            val = fn(m, c)
+            if out is None:
+                out = np.empty(charts.shape + val.shape[1:], dtype=val.dtype)
+            out[m] = val
+        return out
+
+    def test_to_chart(self):
+        _, xs, charts = self._batch()
+        for target in range(3):
+            got = self.cp2.to_chart(xs, charts, target)
+            want = self._per_chart(charts, lambda m, c: self.cp2.to_chart(xs[m], c, target))
+            assert np.array_equal(got, want)
+        # per-point targets too: the inverse transition restores the batch
+        back = self.cp2.to_chart(self.cp2.to_chart(xs, charts, 0), 0, charts)
+        assert np.abs(back - xs).max() < 1e-14
+
+    def test_preferred_chart(self):
+        _, xs, charts = self._batch(scale=2.4)
+        got_c, got_x = self.cp2.preferred_chart(xs, charts)
+        want_c = self._per_chart(charts, lambda m, c: self.cp2.preferred_chart(xs[m], c)[0])
+        want_x = self._per_chart(charts, lambda m, c: self.cp2.preferred_chart(xs[m], c)[1])
+        assert np.array_equal(got_c, want_c) and np.array_equal(got_x, want_x)
+        assert len(np.unique(got_c)) == 3
+
+    def test_exp(self):
+        rng, xs, charts = self._batch()
+        v = rng.normal(size=xs.shape)
+        got_x, got_c = self.cp2.exp(xs, charts, v, 0.7)
+        want_x = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m], 0.7)[0])
+        want_c = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m], 0.7)[1])
+        assert np.array_equal(got_x, want_x) and np.array_equal(got_c, want_c)
+
+    def test_norm(self):
+        rng, xs, charts = self._batch()
+        v = rng.normal(size=xs.shape)
+        got = self.cp2.norm(xs, charts, v)
+        want = self._per_chart(charts, lambda m, c: self.cp2.norm(xs[m], c, v[m]))
+        assert np.array_equal(got, want)
+
+    def test_distance_matrix_matches_chart_pair_loop(self):
+        _, xs, cs = self._batch(n=12, seed=22)
+        _, ys, charts = self._batch(n=40, seed=23)
+        got = self.cp2.distance(xs[:, None, :], cs[:, None], ys[None], charts[None])
+        want = np.empty((len(xs), len(ys)))
+        for c1 in range(3):
+            m1 = cs == c1
+            for c2 in range(3):
+                m2 = charts == c2
+                want[np.ix_(m1, m2)] = self.cp2.distance(
+                    xs[m1][:, None, :], c1, ys[m2][None, :, :], c2
+                )
+        assert got.shape == (12, 40)
+        assert np.abs(got - want).max() < 1e-14
 
 
 # -- closed-form Fubini-Study connection, curvature and geodesics ----------

@@ -93,6 +93,9 @@ class TestResolve:
         bad["model"] = "flat-C2"
         with pytest.raises(ConfigError, match="perturbed-cp1"):
             resolve_sweep_spec({"base": bad, "deltas": [0.01]})
+        # no sweep setting is read besides base, deltas and eps0
+        with pytest.raises(ConfigError, match="converged_gap_tol"):
+            resolve_sweep_spec({"base": base, "deltas": [0.01], "converged_gap_tol": 1e-3})
 
     def test_load_json_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -1,5 +1,5 @@
 """Gaussian parabolic density: closed-form plane oracles, cutoff properties,
-normal charts, calibration, the regularity monitor, and the flow identity
+calibration, the regularity monitor, and the flow identity
 for dPhi/dt."""
 
 import numpy as np
@@ -9,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 from kflow.ambient import ChartPoint, get_model
 from kflow.density import (
     DensityQuery,
-    build_normal_chart,
     calibrate_r0,
     cutoff,
     density_derivative_check,
     make_query,
     monitor_regularity,
-    normal_coordinates,
     parabolic_density,
 )
-from kflow.errors import ChartDomainError, CurvedModelError
+from kflow.errors import CurvedModelError
 from kflow.flow import FlowConfig, FlowState, step
 from kflow.surfaces import build_surface
 
@@ -126,33 +124,6 @@ def test_parabolic_density_requires_future_query_time():
     q = DensityQuery(x0=_center(), t0=0.5, r=0.3)
     with pytest.raises(ValueError):
         parabolic_density(grid, 0.5, q)
-
-
-class TestNormalChart:
-    def test_flat_chart_is_translation(self):
-        origin = ChartPoint(0, np.array([0.3, -0.2, 1.0, 0.0]))
-        chart = build_normal_chart(C2, origin)
-        q = ChartPoint(0, origin.x + np.array([0.1, 0.2, -0.3, 0.4]))
-        y = normal_coordinates(C2, chart, q)
-        assert np.abs(y - (q.x - origin.x)).max() < 1e-12
-
-    def test_curved_chart_lengths_match_distance(self):
-        origin = ChartPoint(0, np.array([0.2, 0.1, -0.1, 0.3]))
-        chart = build_normal_chart(CP2, origin)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            v = rng.normal(size=4)
-            v = 0.4 * v / np.linalg.norm(v)
-            q = ChartPoint(0, origin.x + v)
-            y = normal_coordinates(CP2, chart, q)
-            d = float(CP2.distance(origin.x, 0, q.x, 0))
-            assert abs(np.linalg.norm(y) - d) < 1e-8
-
-    def test_out_of_range_point_rejected(self):
-        origin = ChartPoint(0, np.zeros(4))
-        chart = build_normal_chart(CP2, origin)
-        with pytest.raises(ChartDomainError):
-            normal_coordinates(CP2, chart, ChartPoint(1, np.zeros(4)))
 
 
 class TestCalibration:

@@ -83,6 +83,15 @@ class TestRecord:
         assert rec.supA == pytest.approx(np.sqrt(2) / 0.5, abs=1e-4)
         assert rec.L2H == pytest.approx((2 / 0.5) ** 2 * np.pi, rel=1e-5)
 
+    def test_V_keeps_its_precision_near_holomorphic(self):
+        """V = int sin^2(a)/cos(a) is O(delta^2) on perturbed-cp1; formed from
+        sin^2(a) directly, V/delta^2 does not lose digits as delta shrinks."""
+        ratios = []
+        for delta in (1e-4, 1e-6):
+            grid = build_surface("perturbed-cp1", CP2, delta=delta, nu=32, nv=16)
+            ratios.append(record(grid, t=0.0).V / delta**2)
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-8)
+
     def test_cumulative_l1_trapezoid(self):
         grid = build_surface("round-sphere", C2, radius=0.5, nu=16, nv=8)
         r0 = record(grid, t=0.0)
