@@ -85,6 +85,11 @@ def execute_run(resolved, out_dir: Path):
     model = build_model(resolved)
     grid = build_grid(resolved, model)
     cfg = flow_config_from(resolved)
+    density = resolved["density"]
+    r0 = density["r0"]
+    if density["monitor"] and r0 is None:
+        # reads only the initial grid: fail before integrating a step
+        r0 = calibrate_r0(grid, density["eps0"], seed=resolved["seed"])
     t_start = time.perf_counter()
     result = run(grid, cfg)
     runtime = time.perf_counter() - t_start
@@ -98,11 +103,7 @@ def execute_run(resolved, out_dir: Path):
         save_grid(snap_dir / f"t_{i}.json", g, t=t)
 
     report = None
-    density = resolved["density"]
     if density["monitor"]:
-        r0 = density["r0"]
-        if r0 is None:
-            r0 = calibrate_r0(grid, density["eps0"], seed=resolved["seed"])
         report = monitor_regularity(result.snapshots, r0, density["eps0"])
         write_monitor(out_dir / "monitor.csv", report)
 

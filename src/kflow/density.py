@@ -13,6 +13,11 @@ configured threshold 1 + eps0.
 calibrate_r0 finds the largest kernel radius whose initial density stays
 below 1 + eps0/2 over surface nodes and random near-surface points.
 
+Both calibrate_r0 and the monitor evaluate their density sums over row
+blocks of query centres of bounded size (about 2^18 kernel entries), so
+their memory grows linearly in the number of grid nodes, not as
+queries x nodes.
+
 density_derivative_check verifies the identity (flat ambients only, fixed
 kernel scale tau = r^2)
 
@@ -61,10 +66,16 @@ def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> Dens
 
 def cutoff(s, r):
     """C^2 cutoff: 1 on [0, r], 0 beyond 2r, quintic smoothstep between.
-    The derivative is bounded by (15/8)/r."""
+    The derivative is bounded by (15/8)/r.  The quintic is evaluated only
+    on the transition band; NaN distances give NaN."""
     s = np.asarray(s, dtype=float)
-    w = np.clip((s - r) / r, 0.0, 1.0)
-    return 1.0 - (10.0 * w**3 - 15.0 * w**4 + 6.0 * w**5)
+    w = np.atleast_1d((s - r) / r)
+    inside = w <= 0.0
+    phi = inside.astype(float)
+    band = ~(inside | (w >= 1.0))  # 0 < w < 1, and NaN
+    wb = w[band]
+    phi[band] = 1.0 - (10.0 * wb**3 - 15.0 * wb**4 + 6.0 * wb**5)
+    return phi.reshape(s.shape)
 
 
 def _kernel(d, r, tau):
@@ -83,6 +94,24 @@ def _distance_matrix(model: AmbientModel, xs, cs, grid: SurfaceGrid):
         grid.coords.reshape(1, -1, 4),
         grid.chart_ids.reshape(1, -1),
     )
+
+
+# kernel entries per row block of the density sums
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _densities(grid: SurfaceGrid, xs, cs, w, r, tau):
+    """Kernel quadrature sum_j K(d(center_k, node_j)) w[j] for each center
+    (xs[k], cs[k]), in blocks of about _BLOCK_ENTRIES kernel entries, so no
+    (len(xs), nodes) array is formed.  Blocks are a multiple of 16 rows, so
+    a gemv that works through rows in groups (as OpenBLAS does) sums every
+    row exactly as in one whole-matrix product."""
+    rows = max(16, _BLOCK_ENTRIES // w.size // 16 * 16)
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), rows):
+        d = _distance_matrix(grid.model, xs[i : i + rows], cs[i : i + rows], grid)
+        out[i : i + rows] = _kernel(d, r, tau) @ w
+    return out
 
 
 def parabolic_density(
@@ -122,18 +151,16 @@ def calibrate_r0(
     w = quadrature_weights(grid, stage1).reshape(-1)
     all_x = grid.coords.reshape(-1, 4)
     all_c = grid.chart_ids.reshape(-1)
-    D_nodes = _distance_matrix(model, all_x, all_c, grid)
     base_x = all_x[flat_idx]
     base_c = all_c[flat_idx]
     unit = dirs / model.norm(base_x, base_c, dirs)[:, None]
 
     def max_density(r):
         tau = r * r
-        best = (_kernel(D_nodes, r, tau) @ w).max()
+        best = _densities(grid, all_x, all_c, w, r, tau).max()
         # random ambient centers within r of the surface
         off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None], 1.0)
-        D_off = _distance_matrix(model, off_x, off_c, grid)
-        return max(best, (_kernel(D_off, r, tau) @ w).max())
+        return max(best, _densities(grid, off_x, off_c, w, r, tau).max())
 
     ok = lambda r: max_density(r) <= 1.0 + eps0 / 2.0
     if not ok(floor):
@@ -188,8 +215,7 @@ def monitor_regularity(
         w = quadrature_weights(grid).reshape(-1)
         xs = grid.coords.reshape(-1, 4)[idx]
         cs = grid.chart_ids.reshape(-1)[idx]
-        D = _distance_matrix(grid.model, xs, cs, grid)
-        phis = _kernel(D, r0, r0 * r0) @ w
+        phis = _densities(grid, xs, cs, w, r0, r0 * r0)
         for flat, phi in zip(idx, phis):
             rows.append(
                 MonitorRow(

@@ -148,6 +148,32 @@ class TestRunCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["message"] == "blowup-flag"
 
+    def test_uncalibratable_monitor_fails_before_the_flow(self, tmp_path, monkeypatch):
+        # 4 max h of this three-chart 32x16 grid exceeds the injectivity cap
+        # 0.75, so calibrate_r0 raises on the initial grid
+        def no_flow(grid, cfg):
+            raise AssertionError("the flow ran before calibration")
+
+        monkeypatch.setattr("kflow.cli.run", no_flow)
+        out = tmp_path / "uncal"
+        doc = {
+            "model": "Fubini-Study-CP2",
+            "surface": {
+                "family": "perturbed-cp1",
+                "params": {"line_coeffs": [2.0, 1.5]},
+                "nu": 32,
+                "nv": 16,
+            },
+            "flow": {"t_end": 0.05},
+            "density": {"monitor": True},
+            "output_dir": str(out),
+        }
+        assert main(["run", _write(tmp_path / "uncal.json", doc)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "CalibrationError"
+        assert not (out / "series.csv").exists()
+        assert not (out / "snapshots").exists()
+
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KFLOW_OUTPUT_ROOT", str(tmp_path))
         cfg = _write(tmp_path / "cfg.json", _base_config("rel-run"))

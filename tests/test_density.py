@@ -1,12 +1,16 @@
 """Gaussian parabolic density: closed-form plane oracles, cutoff properties,
-calibration, the regularity monitor, and the flow identity
+calibration, the regularity monitor, the row-blocked density sums against
+whole-matrix oracles, their memory bound, and the flow identity
 for dPhi/dt."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kflow.ambient import ChartPoint, get_model
+from kflow import density
+from kflow.ambient import ChartPoint, FlatT4, get_model
 from kflow.density import (
     DensityQuery,
     calibrate_r0,
@@ -16,12 +20,14 @@ from kflow.density import (
     monitor_regularity,
     parabolic_density,
 )
-from kflow.errors import CurvedModelError
+from kflow.errors import CalibrationError, CurvedModelError
 from kflow.flow import FlowConfig, FlowState, step
+from kflow.immersion import compute_mean_curvature, integrate_scalar, quadrature_weights
 from kflow.surfaces import build_surface
 
 C2 = get_model("flat-C2")
 CP2 = get_model("Fubini-Study-CP2")
+T4 = FlatT4()
 
 TAU = 0.01
 R_CUT = 8 * np.sqrt(TAU)  # Gaussian tail below 1e-6 at the cutoff
@@ -109,6 +115,37 @@ def test_cutoff_bounds_and_derivative(r, s):
     assert abs(slope) <= (15.0 / 8.0) / r + 1e-6
 
 
+def _clip_cutoff(s, r):
+    """The cutoff as np.clip and three powers over every entry."""
+    s = np.asarray(s, dtype=float)
+    w = np.clip((s - r) / r, 0.0, 1.0)
+    return 1.0 - (10.0 * w**3 - 15.0 * w**4 + 6.0 * w**5)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [0.38, 1.0, 4.25])
+def test_cutoff_matches_clip_oracle_bit_for_bit(r):
+    rng = np.random.default_rng(7)
+    s = rng.uniform(0.0, 3.0 * r, size=(37, 53))
+    assert _same_bits(cutoff(s, r), _clip_cutoff(s, r))
+    edges = np.array(
+        [0.0, r, 2 * r, np.nextafter(2 * r, 0.0), np.nextafter(2 * r, np.inf),
+         np.nextafter(r, 0.0), np.nextafter(r, np.inf), np.inf, -np.inf, np.nan]
+    )
+    got = cutoff(edges, r)
+    assert _same_bits(got, _clip_cutoff(edges, r))
+    assert np.isnan(got[-1])
+    for x in edges:
+        assert _same_bits(cutoff(float(x), r), _clip_cutoff(float(x), r))
+        assert _same_bits(cutoff(np.float64(x), r), _clip_cutoff(np.float64(x), r))
+        assert _same_bits(cutoff(np.array(x), r), _clip_cutoff(np.array(x), r))
+    assert float(cutoff(1.5 * r, r)) == float(_clip_cutoff(1.5 * r, r))
+
+
 def test_make_query_validation():
     x0 = ChartPoint(0, np.zeros(4))
     with pytest.raises(ValueError):
@@ -139,6 +176,133 @@ class TestCalibration:
         report = monitor_regularity([(grid, 0.0)], r0, eps0=0.1)
         assert report.n_exceedances == 0
         assert report.max_phi <= 1.1
+
+
+def _unblocked_densities(grid, xs, cs, w, r, tau):
+    """Whole-matrix oracle: one (len(xs), nodes) distance and kernel array."""
+    return density._kernel(density._distance_matrix(grid.model, xs, cs, grid), r, tau) @ w
+
+
+def _unblocked_calibrate_r0(grid, eps0, seed=0, n_offsurface=100):
+    """calibrate_r0 with the node distance matrix cached whole, as an oracle."""
+    model = grid.model
+    stage1 = compute_mean_curvature(grid)
+    floor = 4.0 * float(max(stage1.hu.max(), stage1.hv.max()))
+    area = integrate_scalar(grid, np.ones(grid.chart_ids.shape), stage1)
+    r_max = min(model.injectivity_radius_bound / 2.0, float(np.sqrt(area)))
+    if r_max <= floor:
+        raise CalibrationError("empty radius range")
+    rng = np.random.default_rng(seed)
+    flat_idx = rng.integers(0, grid.nu * grid.nv, size=n_offsurface)
+    dirs = rng.normal(size=(n_offsurface, 4))
+    fracs = rng.uniform(0.0, 1.0, size=n_offsurface)
+    w = quadrature_weights(grid, stage1).reshape(-1)
+    all_x = grid.coords.reshape(-1, 4)
+    all_c = grid.chart_ids.reshape(-1)
+    D_nodes = density._distance_matrix(model, all_x, all_c, grid)
+    base_x, base_c = all_x[flat_idx], all_c[flat_idx]
+    unit = dirs / model.norm(base_x, base_c, dirs)[:, None]
+
+    def ok(r):
+        tau = r * r
+        best = (density._kernel(D_nodes, r, tau) @ w).max()
+        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None], 1.0)
+        best = max(best, _unblocked_densities(grid, off_x, off_c, w, r, tau).max())
+        return best <= 1.0 + eps0 / 2.0
+
+    if not ok(floor):
+        raise CalibrationError("exceeds at the floor")
+    if ok(r_max):
+        return r_max
+    lo, hi = floor, r_max
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-3 * floor:
+            break
+    return lo
+
+
+def _torus_graph(amplitude=0.3, nu=32, nv=24):
+    """Torus graph with a mixed term, shifted and wrapped by the model, so
+    that distances need the minimum image."""
+    grid = build_surface("torus-graph", T4, amplitude=amplitude, nu=nu, nv=nv)
+    u, v = grid.coords[..., 0].copy(), grid.coords[..., 1].copy()
+    grid.coords[..., 2] += 0.4 * np.sin(u + v)
+    grid.coords[..., :2] += (2.0, 2.5)
+    grid.coords = T4.wrap(grid.coords)
+    return grid
+
+
+_BLOCK_GRIDS = {
+    "flat-sphere": (
+        lambda: build_surface(
+            "round-sphere", C2, radius=0.8, center=(0.1, 0.2, 0.3, 0.4), nu=40, nv=20
+        ),
+        0.4,
+    ),
+    "torus-graph": (_torus_graph, 0.8),
+    "three-chart-cp2": (
+        lambda: build_surface(
+            "perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=48, nv=24
+        ),
+        0.3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_GRIDS))
+def test_blocked_densities_match_unblocked_oracle(name):
+    make, r = _BLOCK_GRIDS[name]
+    grid = make()
+    if name == "three-chart-cp2":
+        assert len(np.unique(grid.chart_ids)) == 3
+    n = grid.nu * grid.nv
+    rows = density._BLOCK_ENTRIES // n // 16 * 16
+    xs, cs = grid.coords.reshape(-1, 4), grid.chart_ids.reshape(-1)
+    w = quadrature_weights(grid).reshape(-1)
+    # every node, and an odd subset: both end in a partial block
+    for idx in (np.arange(n), np.arange(1, n, 2)):
+        assert len(idx) > rows and len(idx) % rows
+        got = density._densities(grid, xs[idx], cs[idx], w, r, r * r)
+        want = _unblocked_densities(grid, xs[idx], cs[idx], w, r, r * r)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "make, eps0",
+    [
+        (_BLOCK_GRIDS["flat-sphere"][0], 0.1),
+        (_BLOCK_GRIDS["three-chart-cp2"][0], 0.1),
+        (_torus_graph, 0.1),
+        # a threshold 1 + eps0/2 = 0.45, between the maximal densities at
+        # the floor (0.44) and at the cap (0.46), makes the bisection run
+        (lambda: build_surface("torus-graph", T4, amplitude=0.5, nu=40, nv=32), -1.1),
+    ],
+)
+def test_calibrate_r0_matches_unblocked_copy(make, eps0):
+    grid = make()
+    r0 = calibrate_r0(grid, eps0, seed=1)
+    assert r0 == _unblocked_calibrate_r0(grid, eps0, seed=1)
+    if eps0 < 0:
+        assert r0 < T4.injectivity_radius_bound / 2  # below the cap
+
+
+def test_calibration_and_monitor_memory_is_bounded():
+    """A flat 64x32 sphere: the whole-matrix evaluation peaked at about
+    320 MB; row blocks keep the traced peak near 23 MB at any grid size."""
+    grid = build_surface("round-sphere", C2, radius=1.0, nu=64, nv=32)
+    tracemalloc.start()
+    try:
+        r0 = calibrate_r0(grid, eps0=0.1)
+        monitor_regularity([(grid, 0.0)], r0, eps0=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 class TestMonitor:
