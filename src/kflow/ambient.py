@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartDomainError, LogDivergenceError
+from .errors import ChartDomainError, ConfigError, LogDivergenceError
 
 # Complex structure of multiplication by i in coordinates (x1, y1, x2, y2);
 # column k is J applied to the k-th coordinate basis vector.
@@ -255,8 +255,8 @@ class FlatT4(_FlatModel):
 
     def __init__(self, periods=(2 * np.pi,) * 4):
         self.periods = np.asarray(periods, dtype=float)
-        if np.any(self.periods <= 0):
-            raise ValueError("lattice periods must be positive")
+        if self.periods.shape != (4,) or not np.all(self.periods > 0):
+            raise ValueError(f"lattice periods must be four positive numbers, not {periods!r}")
         self.injectivity_radius_bound = float(self.periods.min() / 2.0)
 
     def wrap(self, x):
@@ -476,10 +476,14 @@ _MODELS = {
 }
 
 
-def get_model(name, **kwargs) -> AmbientModel:
-    if name not in _MODELS:
-        raise ValueError(f"unknown ambient model {name!r}; choices: {sorted(_MODELS)}")
-    return _MODELS[name](**kwargs)
+def get_model(name, **params) -> AmbientModel:
+    """Model `name` with `params`; a bad name or parameter is a ConfigError."""
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ConfigError(f"unknown ambient model {name!r}; choices: {sorted(_MODELS)}")
+    try:
+        return _MODELS[name](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model_params for {name}: {exc}") from exc
 
 
 # -- spec-level scalar operations ----------------------------------------

@@ -12,6 +12,7 @@ Exit codes: 0 converged or reached t_end; 1 configuration or input error;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -19,20 +20,17 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .ambient import ChartPoint, FlatT4, get_model
+from .ambient import ChartPoint, get_model
 from .config import load_json, resolve_run_config, resolve_sweep_spec
 from .density import (
-    DensityQuery,
-    MonitorReport,
     calibrate_r0,
+    make_query,
     monitor_regularity,
     parabolic_density,
     write_monitor,
 )
 from .diagnostics import summarize, write_series
-from .errors import KflowError, ConfigError
+from .errors import ConfigError, KflowError, check_kind
 from .flow import FlowConfig, run
 from .immersion import load_grid, save_grid
 from .surfaces import build_surface
@@ -49,28 +47,15 @@ def _output_dir(resolved):
 
 
 def build_model(resolved):
-    if resolved["model"] == "flat-T4" and resolved["model_params"].get("periods"):
-        return FlatT4(periods=resolved["model_params"]["periods"])
-    return get_model(resolved["model"])
+    return get_model(resolved["model"], **resolved["model_params"])
 
 
 def build_grid(resolved, model):
     surf = resolved["surface"]
-    return build_surface(surf["family"], model, nu=surf["nu"], nv=surf["nv"], **surf["params"])
-
-
-def flow_config_from(resolved):
-    flow = resolved["flow"]
-    red = flow["redistribution"]
-    return FlowConfig(
-        t_end=float(flow["t_end"]),
-        cfl_factor=float(flow["cfl_factor"]),
-        snapshot_stride=int(flow["snapshot_stride"]),
-        diagnostics_stride=int(flow["diagnostics_stride"]),
-        redistribution=None if red is None else (red["every"], red["strength"]),
-        blowup_threshold=flow["blowup_threshold"],
-        converged_H_tol=float(flow["converged_H_tol"]),
-    )
+    try:
+        return build_surface(surf["family"], model, nu=surf["nu"], nv=surf["nv"], **surf["params"])
+    except ValueError as exc:  # a grid the config cannot have, e.g. an odd nu on a sphere
+        raise ConfigError(f"surface: {exc}") from exc
 
 
 def _write_json(path, doc):
@@ -84,7 +69,7 @@ def execute_run(resolved, out_dir: Path):
     Returns (result, monitor_report_or_None)."""
     model = build_model(resolved)
     grid = build_grid(resolved, model)
-    cfg = flow_config_from(resolved)
+    cfg = FlowConfig(**resolved["flow"])
     density = resolved["density"]
     r0 = density["r0"]
     if density["monitor"] and r0 is None:
@@ -131,27 +116,22 @@ def execute_run(resolved, out_dir: Path):
 
 
 def cmd_run(path) -> int:
+    out_dir = None
     try:
         doc = load_json(path)
+        if isinstance(doc, dict) and isinstance(doc.get("output_dir"), str):
+            out_dir = _output_dir(doc)
         resolved = resolve_run_config(doc)
-    except ConfigError as exc:
-        # best effort: leave an error record in the intended output directory
-        if isinstance(locals().get("doc"), dict) and isinstance(doc.get("output_dir"), str):
-            try:
-                out = Path(doc["output_dir"])
-                out.mkdir(parents=True, exist_ok=True)
-                _write_json(out / "error.json", {"error": "ConfigError", "message": str(exc)})
-            except OSError:
-                pass
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = _output_dir(resolved)
-    try:
+        out_dir = _output_dir(resolved)
         result, _ = execute_run(resolved, out_dir)
     except KflowError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "error.json", {"error": type(exc).__name__, "message": str(exc)})
-        print(f"run failed: {exc}", file=sys.stderr)
+        kind = type(exc).__name__
+        # best effort: leave an error record in the intended output directory
+        if out_dir is not None:
+            with contextlib.suppress(OSError):
+                out_dir.mkdir(parents=True, exist_ok=True)
+                _write_json(out_dir / "error.json", {"error": kind, "message": str(exc)})
+        print(f"{'config error' if kind == 'ConfigError' else 'run failed'}: {exc}", file=sys.stderr)
         return 1
     code = _EXIT_BY_STOP[result.stop_reason]
     if code:
@@ -233,6 +213,26 @@ def cmd_sweep(path) -> int:
     return 0 if any_converged else 1
 
 
+def _read_queries(qdoc, model):
+    """DensityQuery per row of a --queries document; a bad row is a
+    ConfigError that names its index."""
+    if not isinstance(qdoc, list):
+        raise ConfigError("queries must be a JSON list of {x0, chart, t0, r}")
+    queries = []
+    for i, q in enumerate(qdoc):
+        try:
+            if not isinstance(q, dict) or set(q) - {"x0", "chart", "t0", "r"}:
+                raise ValueError(f"a row is a JSON object with keys x0, chart, t0, r, not {q!r}")
+            chart = q.get("chart", 0)
+            check_kind("chart", chart, 0)
+            queries.append(make_query(model, ChartPoint(chart, q["x0"]), q["t0"], q["r"]))
+        except KeyError as exc:
+            raise ConfigError(f"query row {i}: missing key {exc}") from exc
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError(f"query row {i}: {exc}") from exc
+    return queries
+
+
 def cmd_density(run_dir, queries_path=None) -> int:
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
@@ -242,10 +242,11 @@ def cmd_density(run_dir, queries_path=None) -> int:
         return 1
     try:
         resolved = load_json(run_dir / "config.resolved.json")
+        model = build_model(resolved)
+        queries = None if queries_path is None else _read_queries(load_json(queries_path), model)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    model = build_model(resolved)
     states = []
     for p in snaps:
         g, t = load_grid(p, model=model)
@@ -268,24 +269,14 @@ def cmd_density(run_dir, queries_path=None) -> int:
             for r in report.rows
         ]
     else:
-        qdoc = load_json(queries_path)
-        for i, q in enumerate(qdoc):
-            x0 = ChartPoint(int(q.get("chart", 0)), np.asarray(q["x0"], dtype=float))
-            t0, r = float(q["t0"]), float(q["r"])
-            usable = [(g, t) for g, t in states if t <= t0 - r * r]
+        for i, q in enumerate(queries):
+            row = {"x0_index": i, "t0": q.t0, "r": q.r}
+            usable = [(g, t) for g, t in states if t <= q.t0 - q.r * q.r]
             if not usable:
-                rows.append({"x0_index": i, "t0": t0, "r": r, "t_used": "", "phi": "not-computable"})
+                rows.append({**row, "t_used": "", "phi": "not-computable"})
                 continue
             g, t = usable[-1]
-            rows.append(
-                {
-                    "x0_index": i,
-                    "t0": t0,
-                    "r": r,
-                    "t_used": t,
-                    "phi": parabolic_density(g, t, DensityQuery(x0=x0, t0=t0, r=r)),
-                }
-            )
+            rows.append({**row, "t_used": t, "phi": parabolic_density(g, t, q)})
     with open(run_dir / "density_report.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["x0_index", "t0", "r", "t_used", "phi"])
         w.writeheader()

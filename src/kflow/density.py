@@ -54,6 +54,9 @@ class DensityQuery:
 
 
 def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> DensityQuery:
+    t0, r = float(t0), float(r)
+    if x0.x.shape != (4,) or x0.chart_id not in range(model.n_charts):
+        raise ValueError(f"x0 must be four coordinates in one of charts 0-{model.n_charts - 1}")
     if not r > 0:
         raise ValueError("kernel radius must be positive")
     if not 2 * r < model.injectivity_radius_bound:
@@ -61,7 +64,7 @@ def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> Dens
             f"2r = {2 * r:.4f} must stay below the injectivity bound "
             f"{model.injectivity_radius_bound:.4f}"
         )
-    return DensityQuery(x0=x0, t0=float(t0), r=float(r))
+    return DensityQuery(x0=x0, t0=t0, r=r)
 
 
 def cutoff(s, r):

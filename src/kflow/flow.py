@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
-from .errors import ConfigError, DegenerateImmersionError
+from .errors import ConfigError, DegenerateImmersionError, check_kind
 from .immersion import (MeanCurvature, SurfaceGrid, _stencil, compute_geometry,
                         compute_mean_curvature)
 
@@ -43,25 +43,34 @@ _D2_SYMBOL = lambda th: (490.0 - 540.0 * np.cos(th) + 54.0 * np.cos(2 * th) - 4.
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """A run config's `flow` section: its keys, defaults and checks."""
+
     t_end: float
     cfl_factor: float = 0.2
     snapshot_stride: int = 50
     diagnostics_stride: int = 10
-    redistribution: tuple[int, float] | None = None  # (every k steps, strength)
+    redistribution: dict | None = None  # {"every": k steps, "strength": lam}
     blowup_threshold: float | None = None  # default: 1e3 / initial length scale
     converged_H_tol: float = 1e-4
 
     def __post_init__(self):
+        # config._merge gives a run config's values their defaults' kinds
+        if self.blowup_threshold is not None:
+            check_kind("blowup_threshold", self.blowup_threshold, 0.0)
+        if not self.t_end > 0:
+            raise ConfigError("t_end must be positive")
         if not 0.0 < self.cfl_factor <= 0.5:
             raise ConfigError("cfl_factor must lie in (0, 0.5]")
         if self.snapshot_stride < 1 or self.diagnostics_stride < 1:
             raise ConfigError("strides must be >= 1")
-        if self.redistribution is not None:
-            k, lam = self.redistribution
-            if k < 1 or lam < 0:
-                raise ConfigError("redistribution needs k >= 1 and strength >= 0")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        red = self.redistribution
+        if red is not None:
+            if not isinstance(red, dict) or set(red) != {"every", "strength"}:
+                raise ConfigError(f"redistribution takes the keys every and strength, not {red!r}")
+            check_kind("redistribution", [red["every"], red["strength"]], [0, 0.0])
+            if red["every"] < 1 or not red["strength"] >= 0:
+                raise ConfigError("redistribution needs every >= 1 and strength >= 0")
+            object.__setattr__(self, "redistribution", {**red, "strength": float(red["strength"])})
 
 
 @dataclass
@@ -256,10 +265,9 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
                 break
             state = step(state, config, vel)
             vel = None
-            if config.redistribution is not None:
-                k_every, lam = config.redistribution
-                if state.step_index % k_every == 0:
-                    state = redistribute(state, lam)
+            red = config.redistribution
+            if red is not None and state.step_index % red["every"] == 0:
+                state = redistribute(state, red["strength"])
         except DegenerateImmersionError:
             stop = "degenerate-grid"
             break

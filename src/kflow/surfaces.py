@@ -157,16 +157,18 @@ def _cp1_grid(model, line_coeffs, delta, m, nu, nv):
     )
 
 
-_FAMILIES = {
-    "plane": plane,
-    "torus-graph": torus_graph,
-    "round-sphere": round_sphere,
-    "cp1": cp1,
-    "perturbed-cp1": perturbed_cp1,
+# family -> (builder, required ambient model).  The builders' keyword
+# defaults, nu and nv aside, are the run config's surface.params defaults.
+FAMILIES = {
+    "plane": (plane, "flat-C2"),
+    "torus-graph": (torus_graph, "flat-T4"),
+    "round-sphere": (round_sphere, "flat-C2"),
+    "cp1": (cp1, "Fubini-Study-CP2"),
+    "perturbed-cp1": (perturbed_cp1, "Fubini-Study-CP2"),
 }
 
 
 def build_surface(name: str, model: AmbientModel, **params) -> SurfaceGrid:
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown surface family {name!r}; choices: {sorted(_FAMILIES)}")
-    return _FAMILIES[name](model, **params)
+    if name not in FAMILIES:
+        raise ValueError(f"unknown surface family {name!r}; choices: {sorted(FAMILIES)}")
+    return FAMILIES[name][0](model, **params)

@@ -2,15 +2,17 @@
 run directory contents, exit codes, and the density report."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from kflow.cli import main
+from kflow.cli import build_grid, build_model, main
 from kflow.config import load_json, resolve_run_config, resolve_sweep_spec
 from kflow.diagnostics import SERIES_HEADER, read_series
 from kflow.errors import ConfigError
+from kflow.surfaces import FAMILIES
 
 
 def _base_config(out_dir, **flow):
@@ -63,6 +65,45 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve_run_config(doc)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(model="flat-C3"),
+            lambda d: d.update(model_params={"periods": [1.0, 1.0, 1.0, 1.0]}),
+            lambda d: d.update(
+                model="flat-T4",
+                model_params={"periods": [6.0, 6.0]},
+                surface={"family": "torus-graph"},
+            ),
+            lambda d: d["surface"]["params"].update(radius="1.0"),
+            lambda d: d["surface"]["params"].update(center=[0.0, 0.0, 0.0]),
+            lambda d: d["surface"].update(nu=64.5),
+            lambda d: d["flow"].update(t_end="0.02"),
+            lambda d: d["flow"].update(redistribution={"every": 2}),
+            lambda d: d.update(density={"monitor": "false"}),
+        ],
+        ids=[
+            "unknown-model",
+            "params-of-another-model",
+            "two-periods",
+            "string-number",
+            "short-list",
+            "fractional-nu",
+            "string-t-end",
+            "redistribution-without-strength",
+            "string-boolean",
+        ],
+    )
+    def test_wrong_kinds_and_model_params_rejected(self, mutate):
+        doc = _base_config("out")
+        mutate(doc)
+        with pytest.raises(ConfigError):
+            resolve_run_config(doc)
+
+    def test_redistribution_strength_written_as_float(self):
+        doc = _base_config("out", redistribution={"every": 3, "strength": 0})
+        assert resolve_run_config(doc)["flow"]["redistribution"] == {"every": 3, "strength": 0.0}
+
     def test_family_model_compatibility(self):
         doc = _base_config("out")
         doc["surface"]["family"] = "cp1"
@@ -106,6 +147,29 @@ class TestResolve:
             load_json(bad)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_resolves_to_its_builder_defaults_and_builds(family):
+    builder, model_name = FAMILIES[family]
+    doc = {
+        "model": model_name,
+        "surface": {"family": family},
+        "flow": {"t_end": 0.01},
+        "output_dir": "out",
+    }
+    resolved = resolve_run_config(doc)
+    defaults = {
+        name: list(p.default) if isinstance(p.default, tuple) else p.default
+        for name, p in inspect.signature(builder).parameters.items()
+        if p.default is not p.empty and name not in ("nu", "nv")
+    }
+    assert resolved["surface"]["params"] == defaults
+    model = build_model(resolved)
+    grid = build_grid(resolved, model)
+    nu, nv = resolved["surface"]["nu"], resolved["surface"]["nv"]
+    assert grid.coords.shape == (nu, nv, 4)
+    np.testing.assert_array_equal(grid.coords, builder(model, nu=nu, nv=nv).coords)
+
+
 class TestRunCommand:
     def test_run_directory_contents(self, tmp_path):
         out = tmp_path / "run"
@@ -137,6 +201,32 @@ class TestRunCommand:
         assert main(["run", cfg]) == 1
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # sphere grids need an even longitude count
+            lambda d: d["surface"].update(nu=17),
+            lambda d: d.update(
+                model="flat-T4",
+                model_params={"periods": [0, 1, 1, 1]},
+                surface={"family": "torus-graph", "nu": 16, "nv": 16},
+            ),
+            lambda d: d["flow"].update(snapshot_stride="5"),
+            # a negative radius would give a kernel without a cutoff
+            lambda d: d.update(density={"r0": -0.5}),
+        ],
+        ids=["odd-nu-sphere", "zero-period", "string-stride", "negative-r0"],
+    )
+    def test_bad_values_exit_1_with_config_error(self, tmp_path, capsys, mutate):
+        out = tmp_path / "bad-run"
+        doc = _base_config(out)
+        mutate(doc)
+        assert main(["run", _write(tmp_path / "bad.json", doc)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "series.csv").exists()
 
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "blow"
@@ -215,6 +305,24 @@ class TestDensityCommand:
         assert float(rows[0]["phi"]) > 0
         # no snapshot exists at t <= t0 - r^2 for the second query
         assert rows[1]["phi"] == "not-computable"
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            {"x0": [0.0, 0.0, 1.0, 0.0], "t0": 0.05, "r": 0.0},
+            {"x0": [0.0, 0.0, 1.0, 0.0], "t0": 0.05, "r": -0.3},
+            {"x0": [0.0, 0.0, 1.0, 0.0], "t0": 0.05},
+            {"x0": [0.0, 0.0, 1.0], "t0": 0.05, "r": 0.1},
+            {"x0": [0.0, 0.0, 1.0, 0.0], "t0": 0.05, "r": 0.1, "radius": 0.1},
+        ],
+        ids=["zero-r", "negative-r", "missing-r", "short-x0", "unknown-key"],
+    )
+    def test_bad_query_row_fails_without_report(self, run_dir, tmp_path, capsys, bad_row):
+        good = {"x0": [0.0, 0.0, 1.0, 0.0], "chart": 0, "t0": 0.05, "r": 0.1}
+        qpath = _write(tmp_path / "q.json", [good, bad_row])
+        assert main(["density", str(run_dir), "--queries", qpath]) == 1
+        assert "query row 1" in capsys.readouterr().err
+        assert not (run_dir / "density_report.csv").exists()
 
     def test_missing_snapshots_fails(self, tmp_path):
         assert main(["density", str(tmp_path / "nope")]) == 1

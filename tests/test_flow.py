@@ -30,7 +30,7 @@ def test_flow_config_validation():
     with pytest.raises(ConfigError):
         FlowConfig(t_end=1.0, snapshot_stride=0)
     with pytest.raises(ConfigError):
-        FlowConfig(t_end=1.0, redistribution=(0, 0.1))
+        FlowConfig(t_end=1.0, redistribution={"every": 0, "strength": 0.1})
 
 
 def test_holomorphic_plane_is_stationary():
@@ -150,7 +150,7 @@ def test_redistribution_preserves_shape():
 
 def test_redistribution_active_during_run():
     grid = build_surface("torus-graph", T4, amplitude=0.2, nu=16, nv=16)
-    cfg = FlowConfig(t_end=0.01, redistribution=(2, 0.1))
+    cfg = FlowConfig(t_end=0.01, redistribution={"every": 2, "strength": 0.1})
     result = run(grid, cfg)
     assert result.stop_reason in ("reached-t-end", "converged")
 
