@@ -224,6 +224,19 @@ class _FlatModel(AmbientModel):
         out = x + np.asarray(s)[..., None] * np.asarray(v, dtype=float)
         return self.to_chart(out, 0, 0), np.zeros(x.shape[:-1], dtype=int)
 
+    def distance(self, x1, chart1, x2, chart2):
+        """|x2 - x1| (nearest lattice image on T⁴) from a component-major (4, ...)
+        difference, squares summed in np.linalg.norm's order so the bits agree."""
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        min_image = getattr(self, "min_image", None)
+        d = np.empty((4,) + np.broadcast_shapes(x1.shape, x2.shape)[:-1])
+        for k in range(4):
+            np.subtract(x2[..., k], x1[..., k], out=d[k, ...])
+            if min_image is not None:
+                d[k, ...] = min_image(d[k, ...], k)
+        d *= d
+        return np.sqrt(((d[0] + d[1]) + d[2]) + d[3])
+
 
 class FlatC2(_FlatModel):
     """C² with the Euclidean metric and the standard complex structure."""
@@ -238,10 +251,6 @@ class FlatC2(_FlatModel):
     def log(self, p, q):
         self._require_valid(p)
         return TangentVector(base=p, v=q.x - p.x)
-
-    def distance(self, x1, chart1, x2, chart2):
-        d = np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)
-        return np.linalg.norm(d, axis=-1)
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(-2.0, 2.0, size=4))
@@ -262,10 +271,10 @@ class FlatT4(_FlatModel):
     def wrap(self, x):
         return np.mod(np.asarray(x, dtype=float), self.periods)
 
-    def min_image(self, d):
-        """Representative of a coordinate difference closest to zero."""
+    def min_image(self, d, k=slice(None)):
+        """Representative of a coordinate difference (of coordinate k alone) closest to zero."""
         d = np.asarray(d, dtype=float)
-        return d - np.round(d / self.periods) * self.periods
+        return d - np.round(d / self.periods[k]) * self.periods[k]
 
     def to_chart(self, x, chart_from, chart_to):
         return self.wrap(x)
@@ -273,10 +282,6 @@ class FlatT4(_FlatModel):
     def log(self, p, q):
         self._require_valid(p)
         return TangentVector(base=p, v=self.min_image(q.x - p.x))
-
-    def distance(self, x1, chart1, x2, chart2):
-        d = self.min_image(np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float))
-        return np.linalg.norm(d, axis=-1)
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(0.0, 1.0, size=4) * self.periods)

@@ -30,7 +30,7 @@ from .density import (
     write_monitor,
 )
 from .diagnostics import summarize, write_series
-from .errors import ConfigError, KflowError, check_kind
+from .errors import CalibrationError, ConfigError, KflowError, check_kind
 from .flow import FlowConfig, run
 from .immersion import load_grid, save_grid
 from .surfaces import build_surface
@@ -262,7 +262,11 @@ def cmd_density(run_dir, queries_path=None) -> int:
             with open(summary_path) as fh:
                 r0 = json.load(fh).get("monitor", {}).get("r0")
         if r0 is None:
-            r0 = calibrate_r0(states[0][0], resolved["density"]["eps0"], seed=resolved["seed"])
+            try:
+                r0 = calibrate_r0(states[0][0], resolved["density"]["eps0"], seed=resolved["seed"])
+            except CalibrationError as exc:
+                print(f"calibration failed: {exc}", file=sys.stderr)
+                return 1
         report = monitor_regularity(states, r0, resolved["density"]["eps0"])
         rows = [
             {"x0_index": r.x0_index, "t0": r.t0, "r": r0, "t_used": r.t0 - r0 * r0, "phi": r.phi}

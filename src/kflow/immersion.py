@@ -513,26 +513,6 @@ def integrate_scalar(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | 
 SNAPSHOT_FORMAT = "kflow-grid/1"
 
 
-def grid_to_dict(grid: SurfaceGrid, t=None):
-    doc = {
-        "format": SNAPSHOT_FORMAT,
-        "topology": grid.topology,
-        "nu": grid.nu,
-        "nv": grid.nv,
-        "model": grid.model.name,
-        "chart_ids": grid.chart_ids.tolist(),
-        "coords": grid.coords.tolist(),
-        "orientation": grid.orientation,
-    }
-    if hasattr(grid.model, "periods"):
-        doc["model_periods"] = grid.model.periods.tolist()
-    if grid.period_offsets is not None:
-        doc["period_offsets"] = grid.period_offsets.tolist()
-    if t is not None:
-        doc["t"] = float(t)
-    return doc
-
-
 def grid_from_dict(doc, model: AmbientModel | None = None) -> SurfaceGrid:
     if doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"unsupported snapshot format {doc.get('format')!r}")
@@ -553,8 +533,29 @@ def grid_from_dict(doc, model: AmbientModel | None = None) -> SurfaceGrid:
 
 
 def save_grid(path, grid: SurfaceGrid, t=None):
+    """Write the snapshot json.dumps would give, with the coordinates
+    dumped one u-row at a time so they never exist as one list of floats."""
+    doc = {
+        "format": SNAPSHOT_FORMAT,
+        "topology": grid.topology,
+        "nu": grid.nu,
+        "nv": grid.nv,
+        "model": grid.model.name,
+        "chart_ids": grid.chart_ids.tolist(),
+        "coords": None,
+        "orientation": grid.orientation,
+    }
+    if hasattr(grid.model, "periods"):
+        doc["model_periods"] = grid.model.periods.tolist()
+    if grid.period_offsets is not None:
+        doc["period_offsets"] = grid.period_offsets.tolist()
+    if t is not None:
+        doc["t"] = float(t)
+    head, _, tail = json.dumps(doc).partition('"coords": null')
     with open(path, "w") as fh:
-        fh.write(json.dumps(grid_to_dict(grid, t=t)))
+        fh.write(head + '"coords": [')
+        fh.writelines((", " if i else "") + json.dumps(r.tolist()) for i, r in enumerate(grid.coords))
+        fh.write("]" + tail)
 
 
 def load_grid(path, model: AmbientModel | None = None):

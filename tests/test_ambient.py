@@ -171,6 +171,38 @@ def test_t4_min_image_and_wrap():
                        [7.0 - 2 * np.pi, 2 * np.pi - 1.0, 0.2, 0.8])
 
 
+def _norm_of_min_image(model, x1, x2):
+    """Flat distance as np.linalg.norm of the whole (..., 4) minimal-image
+    difference: the oracle of the component-wise sum."""
+    d = np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)
+    if hasattr(model, "periods"):
+        d = d - np.round(d / model.periods) * model.periods
+    return np.linalg.norm(d, axis=-1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [get_model("flat-C2"), FlatT4(periods=(2 * np.pi, 2 * np.pi, 3.0, 3.0))],
+    ids=["flat-C2", "flat-T4"],
+)
+@pytest.mark.parametrize(
+    "shape1, shape2",
+    [((40, 1), (1, 300)), ((16, 8), ()), ((), ())],
+    ids=["centres-by-nodes", "grid-to-point", "point-to-point"],
+)
+def test_flat_distance_is_bitwise_norm_of_min_image(model, shape1, shape2):
+    """Coordinates up to two periods from 0, so the differences of every
+    component go well beyond +-p/2 and must be reduced."""
+    rng = np.random.default_rng(11)
+    scale = 2.0 * getattr(model, "periods", np.full(4, np.pi))
+    x1 = rng.uniform(-1.0, 1.0, size=shape1 + (4,)) * scale
+    x2 = rng.uniform(-1.0, 1.0, size=shape2 + (4,)) * scale
+    got = model.distance(x1, 0, x2, 0)
+    want = _norm_of_min_image(model, x1, x2)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 10**6))
 def test_fs_distance_bounded_by_half_pi(chart, seed):

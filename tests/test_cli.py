@@ -327,6 +327,30 @@ class TestDensityCommand:
     def test_missing_snapshots_fails(self, tmp_path):
         assert main(["density", str(tmp_path / "nope")]) == 1
 
+    def test_failed_calibration_exits_1_without_report(self, tmp_path, capsys):
+        # the three-chart 32x16 grid that cannot be calibrated (see
+        # test_uncalibratable_monitor_fails_before_the_flow), run with the
+        # monitor off so that `density` is the first to calibrate
+        out = tmp_path / "uncal"
+        doc = {
+            "model": "Fubini-Study-CP2",
+            "surface": {
+                "family": "perturbed-cp1",
+                "params": {"line_coeffs": [2.0, 1.5]},
+                "nu": 32,
+                "nv": 16,
+            },
+            "flow": {"t_end": 0.001},
+            "output_dir": str(out),
+        }
+        assert main(["run", _write(tmp_path / "uncal.json", doc)]) == 0
+        capsys.readouterr()
+        assert main(["density", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "calibration failed" in err
+        assert "Traceback" not in err
+        assert not (out / "density_report.csv").exists()
+
 
 def test_verify_quick_battery_passes(capsys):
     assert main(["verify", "--level", "quick"]) == 0

@@ -2,6 +2,8 @@
 quadrature, mean curvature, Kähler angle, Laplacian, snapshot IO."""
 
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +257,64 @@ def test_snapshot_roundtrip(tmp_path):
     assert grid2.topology == grid.topology
     assert np.array_equal(grid2.chart_ids, grid.chart_ids)
     assert np.abs(grid2.coords - grid.coords).max() == 0.0
-    import json
-
     assert json.loads(path.read_text())["format"] == SNAPSHOT_FORMAT
+
+
+def _snapshot_doc(grid, t=None):
+    """The whole snapshot as one dict, in the key order of the format."""
+    doc = {
+        "format": SNAPSHOT_FORMAT,
+        "topology": grid.topology,
+        "nu": grid.nu,
+        "nv": grid.nv,
+        "model": grid.model.name,
+        "chart_ids": grid.chart_ids.tolist(),
+        "coords": grid.coords.tolist(),
+        "orientation": grid.orientation,
+    }
+    if hasattr(grid.model, "periods"):
+        doc["model_periods"] = grid.model.periods.tolist()
+    if grid.period_offsets is not None:
+        doc["period_offsets"] = grid.period_offsets.tolist()
+    if t is not None:
+        doc["t"] = float(t)
+    return doc
+
+
+def _snapshot_grids():
+    """A flat sphere, a CP² grid on all three charts, and a T⁴ plane with
+    lattice periods and period offsets."""
+    t4 = FlatT4(periods=(2 * np.pi, 2 * np.pi, 3.0, 3.0))
+    grids = [
+        build_surface("round-sphere", C2, nu=16, nv=8),
+        build_surface("perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=16, nv=8),
+        build_surface("plane", t4, b_dir=(0.0, 1.0, 0.3, 0.0), nu=8, nv=6),
+    ]
+    assert set(np.unique(grids[1].chart_ids)) == {0, 1, 2}
+    assert grids[2].period_offsets is not None
+    return grids
+
+
+@pytest.mark.parametrize("t", [None, 0.625], ids=["no-t", "t"])
+@pytest.mark.parametrize("index", range(3), ids=["sphere", "cp2-three-charts", "t4-offsets"])
+def test_save_grid_bytes_are_json_dumps_of_the_document(tmp_path, index, t):
+    grid = _snapshot_grids()[index]
+    path = tmp_path / "snap.json"
+    save_grid(path, grid, t=t)
+    assert path.read_bytes() == json.dumps(_snapshot_doc(grid, t)).encode()
+
+
+def test_save_grid_memory_is_bounded(tmp_path):
+    """The coordinates are written row by row: on a 128x64 sphere the traced
+    peak stays below 1.5 MB (one json.dumps of the whole document: ~5.3 MB)."""
+    grid = build_surface("round-sphere", C2, nu=128, nv=64)
+    tracemalloc.start()
+    try:
+        save_grid(tmp_path / "snap.json", grid, t=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 @settings(max_examples=25, deadline=None)
