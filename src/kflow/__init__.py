@@ -6,14 +6,13 @@ functionals and inequality checks), `density` (parabolic density and the
 regularity monitor), `cli` (runs, sweeps, verification batteries).
 """
 
-from .ambient import ChartPoint, TangentVector, get_model
+from .ambient import ChartPoint, get_model
 from .flow import FlowConfig, FlowResult, FlowState, run
 from .immersion import SurfaceGrid, compute_geometry, integrate_scalar
 from .surfaces import build_surface
 
 __all__ = [
     "ChartPoint",
-    "TangentVector",
     "get_model",
     "FlowConfig",
     "FlowResult",

@@ -48,17 +48,6 @@ class ChartPoint:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """An ambient tangent vector in the coordinate basis of its base chart."""
-
-    base: ChartPoint
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-
 def apply_J(v):
     """J v for components v on the last axis (multiplication by i)."""
     return np.asarray(v) @ J_STANDARD.T
@@ -120,20 +109,23 @@ class AmbientModel:
         raise NotImplementedError
 
     # -- tensors ----------------------------------------------------------
+    #
+    # Like the contractions, the same formulas in every chart: they take
+    # coordinates alone.
 
-    def metric(self, x, chart):
+    def metric(self, x):
         raise NotImplementedError
 
-    def christoffel(self, x, chart):
+    def christoffel(self, x):
         raise NotImplementedError
 
-    def curvature(self, x, chart):
+    def curvature(self, x):
         """(riemann R_{abcd}, ricci, scalar) at each point of the batch."""
         raise NotImplementedError
 
-    def symplectic_form(self, x, chart):
+    def symplectic_form(self, x):
         """omega_{ab} = g(J e_a, e_b)."""
-        return np.einsum("ca,...cb->...ab", J_STANDARD, self.metric(x, chart))
+        return np.einsum("ca,...cb->...ab", J_STANDARD, self.metric(x))
 
     # -- geodesics --------------------------------------------------------
 
@@ -141,7 +133,9 @@ class AmbientModel:
         """Batched geodesic exponential: returns (coords, charts)."""
         raise NotImplementedError
 
-    def log(self, p: ChartPoint, q: ChartPoint) -> TangentVector:
+    def log(self, p: ChartPoint, q: ChartPoint) -> np.ndarray:
+        """Components, in p's chart, of the tangent vector v at p with
+        exp(p, v, 1) = q."""
         raise NotImplementedError
 
     def distance(self, x1, chart1, x2, chart2):
@@ -193,15 +187,15 @@ class _FlatModel(AmbientModel):
     def inner(self, x, u, w):
         return _dot(u, w)
 
-    def metric(self, x, chart):
+    def metric(self, x):
         x = np.asarray(x)
         return np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
 
-    def christoffel(self, x, chart):
+    def christoffel(self, x):
         x = np.asarray(x)
         return np.zeros(x.shape[:-1] + (4, 4, 4))
 
-    def curvature(self, x, chart):
+    def curvature(self, x):
         x = np.asarray(x)
         lead = x.shape[:-1]
         return (
@@ -250,7 +244,7 @@ class FlatC2(_FlatModel):
 
     def log(self, p, q):
         self._require_valid(p)
-        return TangentVector(base=p, v=q.x - p.x)
+        return q.x - p.x
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(-2.0, 2.0, size=4))
@@ -281,7 +275,7 @@ class FlatT4(_FlatModel):
 
     def log(self, p, q):
         self._require_valid(p)
-        return TangentVector(base=p, v=self.min_image(q.x - p.x))
+        return self.min_image(q.x - p.x)
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(0.0, 1.0, size=4) * self.periods)
@@ -374,19 +368,19 @@ class FubiniStudyCP2(AmbientModel):
 
     # -- tensors: the contractions with coordinate basis vectors ----------
 
-    def metric(self, x, chart):
+    def metric(self, x):
         basis = np.eye(4)
         return self.inner(np.asarray(x)[..., None, None, :], basis[:, None, :], basis)
 
-    def christoffel(self, x, chart):
+    def christoffel(self, x):
         """Gamma^k_ij indexed [..., k, i, j]."""
         basis = np.eye(4)
         gamma = self.connection(np.asarray(x)[..., None, None, :], basis[:, None, :], basis)
         return np.moveaxis(gamma, -1, -3)
 
-    def curvature(self, x, chart):
+    def curvature(self, x):
         x = np.asarray(x, dtype=float)
-        gamma = self.christoffel(x, chart)
+        gamma = self.christoffel(x)
         # Differentiating Gamma^k_ij = -(x_j d_ki + (Jx)_j J_ki + x_i d_kj
         # + (Jx)_i J_kj) / (1 + |z|²) gives d_a Gamma^k_ij indexed [..., a, k, i, j].
         t = np.einsum("aj,ki->akij", np.eye(4), np.eye(4))
@@ -401,7 +395,7 @@ class FubiniStudyCP2(AmbientModel):
             + np.einsum("...uam,...mbc->...ucab", gamma, gamma)
             - np.einsum("...ubm,...mac->...ucab", gamma, gamma)
         )
-        g = self.metric(x, chart)
+        g = self.metric(x)
         riemann = np.einsum("...ud,...ucab->...abcd", g, rup)
         ricci = np.einsum("...ucua->...ac", rup)
         scalar = np.einsum("...ac,...ac->...", np.linalg.inv(g), ricci)
@@ -410,7 +404,7 @@ class FubiniStudyCP2(AmbientModel):
     @cached_property
     def scalar_curvature(self):
         origin = np.zeros((1, 4))
-        _, _, scal = self.curvature(origin, 0)
+        _, _, scal = self.curvature(origin)
         return float(scal[0])
 
     # -- geodesics --------------------------------------------------------
@@ -457,7 +451,7 @@ class FubiniStudyCP2(AmbientModel):
             )
         w = psi_q * (np.conj(inner) / cos_d) - cos_d * psi_p
         d = np.arctan2(np.linalg.norm(w), cos_d)
-        return TangentVector(base=p, v=self._push_down(psi_p, w / np.sinc(d / np.pi), p.chart_id))
+        return self._push_down(psi_p, w / np.sinc(d / np.pi), p.chart_id)
 
     def distance(self, x1, chart1, x2, chart2):
         h1 = self._homogeneous(to_complex(np.asarray(x1, dtype=float)), chart1)
@@ -490,20 +484,3 @@ def get_model(name, **params) -> AmbientModel:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model_params for {name}: {exc}") from exc
 
-
-# -- spec-level scalar operations ----------------------------------------
-
-
-def exp_map(model: AmbientModel, p: ChartPoint, v: TangentVector, s: float) -> ChartPoint:
-    model._require_valid(p)
-    speed = float(model.norm(p.x[None], p.chart_id, v.v[None])[0])
-    if speed * abs(s) >= model.injectivity_radius_bound:
-        raise ChartDomainError(
-            f"|v| s = {speed * abs(s):.4f} exceeds the injectivity radius bound"
-        )
-    x, c = model.exp(p.x[None], p.chart_id, v.v[None], s)
-    return ChartPoint(int(c[0]), x[0])
-
-
-def log_map(model: AmbientModel, p: ChartPoint, q: ChartPoint) -> TangentVector:
-    return model.log(p, q)

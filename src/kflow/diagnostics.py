@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RedistributionActiveError
 from .immersion import (
     GridGeometry,
     SurfaceGrid,
@@ -214,22 +213,17 @@ def evolution_residual(
     prev: tuple[SurfaceGrid, float],
     mid: tuple[SurfaceGrid, float],
     nxt: tuple[SurfaceGrid, float],
-    redistribution_active: bool = False,
 ):
     """Residual of (d/dt - Lap) cos(a) = |dJ|^2 cos(a) + R sin^2(a) cos(a)
     at the middle of three consecutive states.
 
     Each argument is a (grid, t) pair with identical grid shape; the time
     derivative is the per-node central difference (nonuniform steps
-    supported), which is the Lagrangian derivative along the flow — hence
-    the requirement that tangential redistribution was off.
+    supported), which is the Lagrangian derivative along the flow: the
+    nodes move by dF/dt = H, with no tangential part.
 
     Returns (residual_field, max_norm, l2_norm).
     """
-    if redistribution_active:
-        raise RedistributionActiveError(
-            "evolution residual requires runs without tangential redistribution"
-        )
     (gp, tp), (gm, tm), (gn, tn) = prev, mid, nxt
     h1 = tm - tp
     h2 = tn - tm

@@ -24,12 +24,6 @@ class CalibrationError(KflowError):
     """No admissible kernel radius exists above the grid-resolution floor."""
 
 
-class RedistributionActiveError(KflowError):
-    """A residual check was requested on states produced with tangential
-    redistribution enabled, where the Lagrangian time derivative is not the
-    flow derivative."""
-
-
 class CurvedModelError(KflowError):
     """An operation restricted to flat ambient models was called on a curved
     one."""

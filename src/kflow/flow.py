@@ -4,11 +4,11 @@ Nodes move by dF/dt = H with classical 4th-order Runge-Kutta in chart
 coordinates.  The step size is cfl_factor * h_res^2 where h_res is the
 resolved grid spacing recomputed from the induced metric every step.
 
-Each RK stage, and the tangential redistribution, evaluates stage 1 of the
-immersion geometry (`compute_mean_curvature`: induced metric, spacings and
-H).  Stage 2 (`compute_geometry`) runs only when a diagnostics record is
-due; its stage 1 is then the first RK stage of the next step, so no state
-is differentiated twice.
+Each RK stage evaluates stage 1 of the immersion geometry
+(`compute_mean_curvature`: induced metric, spacings and H).  Stage 2
+(`compute_geometry`) runs only when a diagnostics record is due; its
+stage 1 is then the first RK stage of the next step, so no state is
+differentiated twice.
 
 On sphere grids the azimuthal spacing collapses like sin(v) toward the
 poles, so a literal min-spacing step size would shrink quadratically in the
@@ -30,8 +30,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
 from .errors import ConfigError, DegenerateImmersionError, check_kind
-from .immersion import (MeanCurvature, SurfaceGrid, _stencil, compute_geometry,
-                        compute_mean_curvature)
+from .immersion import MeanCurvature, SurfaceGrid, compute_geometry, compute_mean_curvature
 
 # Largest |z| (real-axis) with |R(z)| <= 1 for classical RK4.
 _RK4_REAL_LIMIT = 2.785
@@ -49,7 +48,6 @@ class FlowConfig:
     cfl_factor: float = 0.2
     snapshot_stride: int = 50
     diagnostics_stride: int = 10
-    redistribution: dict | None = None  # {"every": k steps, "strength": lam}
     blowup_threshold: float | None = None  # default: 1e3 / initial length scale
     converged_H_tol: float = 1e-4
 
@@ -63,14 +61,6 @@ class FlowConfig:
             raise ConfigError("cfl_factor must lie in (0, 0.5]")
         if self.snapshot_stride < 1 or self.diagnostics_stride < 1:
             raise ConfigError("strides must be >= 1")
-        red = self.redistribution
-        if red is not None:
-            if not isinstance(red, dict) or set(red) != {"every", "strength"}:
-                raise ConfigError(f"redistribution takes the keys every and strength, not {red!r}")
-            check_kind("redistribution", [red["every"], red["strength"]], [0, 0.0])
-            if red["every"] < 1 or not red["strength"] >= 0:
-                raise ConfigError("redistribution needs every >= 1 and strength >= 0")
-            object.__setattr__(self, "redistribution", {**red, "strength": float(red["strength"])})
 
 
 @dataclass
@@ -203,30 +193,6 @@ def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None)
     return FlowState(grid=new, t=state.t + dt, step_index=state.step_index + 1)
 
 
-def redistribute(state: FlowState, strength: float) -> FlowState:
-    """Tangential umbrella smoothing of the parametrization.
-
-    Each node moves by `strength` times the tangential projection of the
-    4-point neighbor average displacement; the geometric surface is
-    unchanged to O(strength * h^2)."""
-    if strength == 0.0:
-        return state
-    grid = state.grid.copy()
-    (avg,) = _stencil(
-        grid, lambda nb: ((nb(1, 0) + nb(-1, 0) + nb(0, 1) + nb(0, -1)) / 4.0,)
-    )
-    disp = avg - grid.coords
-    vel = compute_mean_curvature(grid)
-    Fu, Fv, g11, g12, g22, det = vel.Fu, vel.Fv, vel.g11, vel.g12, vel.g22, vel.det
-    du_ = grid.model.inner(grid.coords, disp, Fu)
-    dv_ = grid.model.inner(grid.coords, disp, Fv)
-    cu = (g22 * du_ - g12 * dv_) / det
-    cv = (g11 * dv_ - g12 * du_) / det
-    tangential = cu[..., None] * Fu + cv[..., None] * Fv
-    grid.coords += strength * tangential
-    return FlowState(grid=grid, t=state.t, step_index=state.step_index)
-
-
 def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     """Advance the flow to t_end, emitting a DiagnosticsRecord every
     diagnostics_stride steps and a snapshot every snapshot_stride steps.
@@ -265,9 +231,6 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
                 break
             state = step(state, config, vel)
             vel = None
-            red = config.redistribution
-            if red is not None and state.step_index % red["every"] == 0:
-                state = redistribute(state, red["strength"])
         except DegenerateImmersionError:
             stop = "degenerate-grid"
             break

@@ -15,7 +15,7 @@ from .density import DensityQuery, parabolic_density
 from .diagnostics import evolution_residual
 from .flow import FlowConfig, FlowState, step
 from .immersion import compute_geometry, frame_rotated_scalars
-from .surfaces import perturbed_cp1, plane, round_sphere, torus_graph
+from .surfaces import perturbed_cp1, plane, torus_graph
 
 
 def _sample_points(model, n=40, seed=7):
@@ -28,9 +28,9 @@ def _sample_points(model, n=40, seed=7):
 def check_complex_structure(model):
     """J^2 = -Id, metric compatibility, and the two-form identities."""
     xs = _sample_points(model)
-    G = model.metric(xs, 0)
+    G = model.metric(xs)
     J = np.broadcast_to(J_STANDARD, G.shape)
-    omega = model.symplectic_form(xs, 0)
+    omega = model.symplectic_form(xs)
     err = max(
         np.abs(J_STANDARD @ J_STANDARD + np.eye(4)).max(),
         # g(JU, JV) = g(U, V)
@@ -53,12 +53,12 @@ def check_nabla_J_order(model, steps=(0.02, 0.01)):
         dg = np.empty(xs.shape[:-1] + (4, 4, 4))
         for c, e in enumerate(h * np.eye(4)):
             dg[..., c, :, :] = (
-                -model.metric(xs + 2 * e, 0)
-                + 8 * model.metric(xs + e, 0)
-                - 8 * model.metric(xs - e, 0)
-                + model.metric(xs - 2 * e, 0)
+                -model.metric(xs + 2 * e)
+                + 8 * model.metric(xs + e)
+                - 8 * model.metric(xs - e)
+                + model.metric(xs - 2 * e)
             ) / (12 * h)
-        ginv = np.linalg.inv(model.metric(xs, 0))
+        ginv = np.linalg.inv(model.metric(xs))
         term = (
             np.einsum("...ilj->...lij", dg)
             + np.einsum("...jli->...lij", dg)
@@ -82,8 +82,8 @@ def check_nabla_J_order(model, steps=(0.02, 0.01)):
 
 def check_einstein(model, tol=1e-10):
     xs = _sample_points(model, n=10)
-    _, ricci, _ = model.curvature(xs, 0)
-    err = np.abs(ricci - (model.scalar_curvature / 4.0) * model.metric(xs, 0)).max()
+    _, ricci, _ = model.curvature(xs)
+    err = np.abs(ricci - (model.scalar_curvature / 4.0) * model.metric(xs)).max()
     return f"{model.name}: Einstein (Ric = R/4 g)", err < tol, f"max residual {err:.2e}"
 
 
@@ -96,7 +96,7 @@ def check_exp_log_roundtrip(model, tol=1e-12):
         v = 0.3 * v / model.norm(p.x, p.chart_id, v)
         xs, cs = model.exp(p.x[None], p.chart_id, v[None], 1.0)
         q = ChartPoint(int(cs[0]), xs[0])
-        w = model.log(p, q).v
+        w = model.log(p, q)
         worst = max(worst, float(np.linalg.norm(w - v)))
     return f"{model.name}: exp/log round trip", worst < tol, f"max |log(exp(v)) - v| {worst:.2e}"
 

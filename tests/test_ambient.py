@@ -8,15 +8,12 @@ from hypothesis import given, settings, strategies as st
 from kflow.ambient import (
     ChartPoint,
     FlatT4,
-    TangentVector,
     J_STANDARD,
-    exp_map,
     get_model,
-    log_map,
     to_complex,
     from_complex,
 )
-from kflow.errors import ChartDomainError
+from kflow.errors import LogDivergenceError
 
 MODELS = ["flat-C2", "flat-T4", "Fubini-Study-CP2"]
 
@@ -42,14 +39,14 @@ def test_complex_coordinate_roundtrip():
 
 
 def test_metric_symmetric_positive_definite(model):
-    G = model.metric(_points(model), 0)
+    G = model.metric(_points(model))
     assert np.allclose(G, np.swapaxes(G, -1, -2))
     assert np.linalg.eigvalsh(G).min() > 0
 
 
 def test_metric_hermitian_compatibility(model):
     """g(JU, JV) = g(U, V) at random points."""
-    G = model.metric(_points(model), 0)
+    G = model.metric(_points(model))
     GJ = np.einsum("ca,...cd,db->...ab", J_STANDARD, G, J_STANDARD)
     assert np.abs(GJ - G).max() < 1e-13
 
@@ -57,8 +54,8 @@ def test_metric_hermitian_compatibility(model):
 def test_symplectic_form_identities(model):
     """omega(U,V) = g(JU,V), antisymmetry, and <U,V> = omega(U, JV)."""
     xs = _points(model)
-    G = model.metric(xs, 0)
-    om = model.symplectic_form(xs, 0)
+    G = model.metric(xs)
+    om = model.symplectic_form(xs)
     assert np.abs(om + np.swapaxes(om, -1, -2)).max() < 1e-13
     assert np.abs(np.einsum("ca,...cb->...ab", J_STANDARD, G) - om).max() < 1e-13
     assert np.abs(np.einsum("...ab,bc->...ac", om, J_STANDARD) - G).max() < 1e-13
@@ -68,8 +65,8 @@ def test_flat_models_have_zero_connection_and_curvature():
     for name in ("flat-C2", "flat-T4"):
         m = get_model(name)
         xs = _points(m)
-        assert np.abs(m.christoffel(xs, 0)).max() == 0.0
-        riem, ric, scal = m.curvature(xs, 0)
+        assert np.abs(m.christoffel(xs)).max() == 0.0
+        riem, ric, scal = m.curvature(xs)
         assert np.abs(riem).max() == 0.0 and np.abs(scal).max() == 0.0
 
 
@@ -77,17 +74,17 @@ class TestFubiniStudy:
     cp2 = get_model("Fubini-Study-CP2")
 
     def test_metric_identity_at_chart_origin(self):
-        G = self.cp2.metric(np.zeros((1, 4)), 0)[0]
+        G = self.cp2.metric(np.zeros((1, 4)))[0]
         assert np.abs(G - np.eye(4)).max() < 1e-14
 
     def test_connection_vanishes_at_origin(self):
-        gamma = self.cp2.christoffel(np.zeros((1, 4)), 0)[0]
+        gamma = self.cp2.christoffel(np.zeros((1, 4)))[0]
         assert np.abs(gamma).max() < 1e-10
 
     def test_einstein_with_stored_scalar_curvature(self):
         xs = _points(self.cp2, n=10)
-        _, ric, _ = self.cp2.curvature(xs, 0)
-        G = self.cp2.metric(xs, 0)
+        _, ric, _ = self.cp2.curvature(xs)
+        G = self.cp2.metric(xs)
         R = self.cp2.scalar_curvature
         assert np.abs(ric - (R / 4.0) * G).max() < 1e-6
 
@@ -95,10 +92,9 @@ class TestFubiniStudy:
         assert self.cp2.einstein_constant == pytest.approx(self.cp2.scalar_curvature / 4)
 
     def test_scalar_curvature_constant_across_points_and_charts(self):
-        xs = _points(self.cp2, n=8)
-        for chart in range(3):
-            _, _, scal = self.cp2.curvature(xs, chart)
-            assert np.abs(scal - self.cp2.scalar_curvature).max() < 1e-5
+        """Every chart has the same formulas, so points suffice."""
+        _, _, scal = self.cp2.curvature(_points(self.cp2, n=8))
+        assert np.abs(scal - self.cp2.scalar_curvature).max() < 1e-5
 
     def test_chart_transition_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -133,14 +129,19 @@ class TestFubiniStudy:
             assert abs(d - s) < 1e-8
 
 
+def _exp_point(model, p, v):
+    """exp(p, v, 1) as a ChartPoint."""
+    xs, cs = model.exp(p.x[None], p.chart_id, v[None], 1.0)
+    return ChartPoint(int(cs[0]), xs[0])
+
+
 def test_exp_log_roundtrip(model):
     rng = np.random.default_rng(11)
     for _ in range(6):
         p = model.random_point(rng)
         v = rng.normal(size=4)
         v = 0.3 * v / model.norm(p.x, p.chart_id, v)
-        q = exp_map(model, p, TangentVector(p, v), 1.0)
-        w = log_map(model, p, q).v
+        w = model.log(p, _exp_point(model, p, v))
         assert np.linalg.norm(w - v) < 1e-8
 
 
@@ -150,17 +151,23 @@ def test_log_norm_equals_distance(model):
         p = model.random_point(rng)
         v = rng.normal(size=4)
         v = 0.4 * v / model.norm(p.x, p.chart_id, v)
-        q = exp_map(model, p, TangentVector(p, v), 1.0)
-        w = log_map(model, p, q)
+        q = _exp_point(model, p, v)
+        w = model.log(p, q)
         d = float(model.distance(p.x, p.chart_id, q.x, q.chart_id))
-        assert abs(model.norm(p.x, p.chart_id, w.v) - d) < 1e-8
+        assert abs(model.norm(p.x, p.chart_id, w) - d) < 1e-8
 
 
-def test_exp_map_rejects_long_geodesics():
+def test_cp2_log_rejects_points_beyond_injectivity_bound():
+    """The chart-0 and chart-1 origins, [1:0:0] and [0:1:0], lie pi/2 apart,
+    on each other's cut locus and beyond the bound 1.5."""
     cp2 = get_model("Fubini-Study-CP2")
-    p = ChartPoint(0, np.zeros(4))
-    with pytest.raises(ChartDomainError):
-        exp_map(cp2, p, TangentVector(p, np.array([1.0, 0, 0, 0])), 2.0)
+    p, q = ChartPoint(0, np.zeros(4)), ChartPoint(1, np.zeros(4))
+    assert float(cp2.distance(p.x, 0, q.x, 1)) == pytest.approx(np.pi / 2, abs=1e-12)
+    with pytest.raises(LogDivergenceError):
+        cp2.log(p, q)
+    # just inside the bound the log still inverts exp
+    v = np.array([1.49, 0.0, 0.0, 0.0])
+    assert np.abs(cp2.log(p, _exp_point(cp2, p, v)) - v).max() < 1e-8
 
 
 def test_t4_min_image_and_wrap():
@@ -306,70 +313,70 @@ class TestPerPointCharts:
 # -- closed-form Fubini-Study connection, curvature and geodesics ----------
 
 
-def _fd_christoffel(model, x, chart, h=1e-4):
+def _fd_christoffel(model, x, h=1e-4):
     """Levi-Civita symbols from a 4th-order central difference of the metric."""
     dg = np.empty(x.shape[:-1] + (4, 4, 4))
     for c in range(4):
         e = np.zeros(4)
         e[c] = h
         dg[..., c, :, :] = (
-            -model.metric(x + 2 * e, chart)
-            + 8 * model.metric(x + e, chart)
-            - 8 * model.metric(x - e, chart)
-            + model.metric(x - 2 * e, chart)
+            -model.metric(x + 2 * e)
+            + 8 * model.metric(x + e)
+            - 8 * model.metric(x - e)
+            + model.metric(x - 2 * e)
         ) / (12 * h)
     term = (
         np.einsum("...ilj->...lij", dg)
         + np.einsum("...jli->...lij", dg)
         - np.einsum("...lij->...lij", dg)
     )
-    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(model.metric(x, chart)), term)
+    return 0.5 * np.einsum("...kl,...lij->...kij", np.linalg.inv(model.metric(x)), term)
 
 
-def _fd_riemann(model, x, chart, h=1e-3):
+def _fd_riemann(model, x, h=1e-3):
     """R_{abcd} from a 4th-order central difference of model.christoffel."""
     dgamma = np.empty(x.shape[:-1] + (4, 4, 4, 4))
     for c in range(4):
         e = np.zeros(4)
         e[c] = h
         dgamma[..., c, :, :, :] = (
-            -model.christoffel(x + 2 * e, chart)
-            + 8 * model.christoffel(x + e, chart)
-            - 8 * model.christoffel(x - e, chart)
-            + model.christoffel(x - 2 * e, chart)
+            -model.christoffel(x + 2 * e)
+            + 8 * model.christoffel(x + e)
+            - 8 * model.christoffel(x - e)
+            + model.christoffel(x - 2 * e)
         ) / (12 * h)
-    gamma = model.christoffel(x, chart)
+    gamma = model.christoffel(x)
     rup = (
         np.einsum("...aubc->...ucab", dgamma)
         - np.einsum("...buac->...ucab", dgamma)
         + np.einsum("...uam,...mbc->...ucab", gamma, gamma)
         - np.einsum("...ubm,...mac->...ucab", gamma, gamma)
     )
-    return np.einsum("...ud,...ucab->...abcd", model.metric(x, chart), rup)
+    return np.einsum("...ud,...ucab->...abcd", model.metric(x), rup)
 
 
+# `chart` only picks the sample: the tensors are the same formulas in every chart.
 @pytest.mark.parametrize("chart", [0, 1, 2])
 def test_fs_christoffel_matches_fd_of_metric(chart):
     cp2 = get_model("Fubini-Study-CP2")
     x = np.random.default_rng(20 + chart).uniform(-1.5, 1.5, size=(30, 4))
-    assert np.abs(cp2.christoffel(x, chart) - _fd_christoffel(cp2, x, chart)).max() <= 1e-9
+    assert np.abs(cp2.christoffel(x) - _fd_christoffel(cp2, x)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("chart", [0, 1, 2])
 def test_fs_riemann_matches_fd_of_christoffel(chart):
     cp2 = get_model("Fubini-Study-CP2")
     x = np.random.default_rng(30 + chart).uniform(-1.5, 1.5, size=(20, 4))
-    riemann, _, _ = cp2.curvature(x, chart)
-    assert np.abs(riemann - _fd_riemann(cp2, x, chart)).max() <= 1e-8
+    riemann, _, _ = cp2.curvature(x)
+    assert np.abs(riemann - _fd_riemann(cp2, x)).max() <= 1e-8
 
 
 def test_fs_scalar_curvature_is_24_in_every_chart():
     cp2 = get_model("Fubini-Study-CP2")
     assert abs(cp2.scalar_curvature - 24.0) <= 1e-12
     x = np.random.default_rng(40).uniform(-2.0, 2.0, size=(50, 4))
-    for chart in range(3):
-        _, _, scal = cp2.curvature(x, chart)
-        assert np.abs(scal - 24.0).max() <= 1e-12
+    _, _, scal = cp2.curvature(x)
+    assert np.abs(scal - 24.0).max() <= 1e-12
 
 
 def test_fs_exp_log_roundtrip_across_chart_changes():
@@ -387,7 +394,7 @@ def test_fs_exp_log_roundtrip_across_chart_changes():
         xs, cs = cp2.exp(x[None], chart, v[None], 1.0)
         changed += int(cs[0] != chart)
         p = ChartPoint(chart, x)
-        w = cp2.log(p, ChartPoint(int(cs[0]), xs[0])).v
+        w = cp2.log(p, ChartPoint(int(cs[0]), xs[0]))
         assert np.abs(w - v).max() <= 1e-12
         assert np.max(np.abs(to_complex(xs[0]))) <= cp2.transition_radius
     assert changed >= 10
@@ -402,7 +409,7 @@ def test_fs_exp_matches_rk4_geodesic_ode():
     v0 *= rng.uniform(0.2, 1.0, size=(12, 1)) / cp2.norm(x0, 0, v0)[:, None]
 
     def rhs(x, u):
-        return u, -np.einsum("...kij,...i,...j->...k", cp2.christoffel(x, 0), u, u)
+        return u, -np.einsum("...kij,...i,...j->...k", cp2.christoffel(x), u, u)
 
     x, u = x0.copy(), v0.copy()
     n = 400
@@ -467,8 +474,8 @@ def test_contractions_match_tensors(name, chart):
         G, Gamma = np.broadcast_to(np.eye(4), (200, 4, 4)), np.zeros((200, 4, 4, 4))
     else:
         G, Gamma = _fs_metric_oracle(x), _fs_christoffel_oracle(x)
-    assert np.abs(model.metric(x, chart) - G).max() <= 1e-14 * np.abs(G).max()
-    assert np.abs(model.christoffel(x, chart) - Gamma).max() <= 1e-14 * np.abs(Gamma).max()
+    assert np.abs(model.metric(x) - G).max() <= 1e-14 * np.abs(G).max()
+    assert np.abs(model.christoffel(x) - Gamma).max() <= 1e-14 * np.abs(Gamma).max()
     g = np.einsum("...a,...ab,...b->...", u, G, w)
     gamma = np.einsum("...kij,...i,...j->...k", Gamma, u, w)
     assert np.abs(model.inner(x, u, w) - g).max() <= 1e-14 * np.abs(g).max()

@@ -79,7 +79,7 @@ class TestResolve:
             lambda d: d["surface"]["params"].update(center=[0.0, 0.0, 0.0]),
             lambda d: d["surface"].update(nu=64.5),
             lambda d: d["flow"].update(t_end="0.02"),
-            lambda d: d["flow"].update(redistribution={"every": 2}),
+            lambda d: d["flow"].update(redistribution=None),
             lambda d: d.update(density={"monitor": "false"}),
         ],
         ids=[
@@ -90,7 +90,7 @@ class TestResolve:
             "short-list",
             "fractional-nu",
             "string-t-end",
-            "redistribution-without-strength",
+            "removed-redistribution-key",
             "string-boolean",
         ],
     )
@@ -99,10 +99,6 @@ class TestResolve:
         mutate(doc)
         with pytest.raises(ConfigError):
             resolve_run_config(doc)
-
-    def test_redistribution_strength_written_as_float(self):
-        doc = _base_config("out", redistribution={"every": 3, "strength": 0})
-        assert resolve_run_config(doc)["flow"]["redistribution"] == {"every": 3, "strength": 0.0}
 
     def test_family_model_compatibility(self):
         doc = _base_config("out")
@@ -323,6 +319,22 @@ class TestDensityCommand:
         assert main(["density", str(run_dir), "--queries", qpath]) == 1
         assert "query row 1" in capsys.readouterr().err
         assert not (run_dir / "density_report.csv").exists()
+
+    def test_removed_redistribution_key(self, run_dir, tmp_path):
+        """flow.redistribution is no longer a setting: a run config with it
+        fails, while a run directory whose config.resolved.json still holds
+        it re-analyses, since `density` reads only model, density and seed."""
+        out = tmp_path / "old-key"
+        doc = _base_config(out, redistribution=None)
+        assert main(["run", _write(tmp_path / "old.json", doc)]) == 1
+        assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+        path = run_dir / "config.resolved.json"
+        resolved = json.loads(path.read_text())
+        resolved["flow"]["redistribution"] = None
+        path.write_text(json.dumps(resolved))
+        assert main(["density", str(run_dir)]) == 0
+        with open(run_dir / "density_report.csv") as fh:
+            assert list(csv.DictReader(fh))
 
     def test_missing_snapshots_fails(self, tmp_path):
         assert main(["density", str(tmp_path / "nope")]) == 1

@@ -19,7 +19,6 @@ from kflow.diagnostics import (
     summarize,
     write_series,
 )
-from kflow.errors import RedistributionActiveError
 from kflow.flow import FlowConfig, FlowState, step
 from kflow.immersion import compute_geometry
 from kflow.surfaces import build_surface
@@ -170,13 +169,6 @@ class TestEvolutionResidual:
         states = [(grid, 0.0), (grid, 0.01), (grid, 0.02)]
         _, mx, l2 = evolution_residual(*states)
         assert mx < 1e-9 and l2 < 1e-9
-
-    def test_redistribution_active_is_rejected(self):
-        grid = _tilted_plane(0.0)
-        with pytest.raises(RedistributionActiveError):
-            evolution_residual(
-                (grid, 0.0), (grid, 0.01), (grid, 0.02), redistribution_active=True
-            )
 
     def test_nonincreasing_times_rejected(self):
         grid = _tilted_plane(0.0)

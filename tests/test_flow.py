@@ -1,20 +1,14 @@
 """Time-stepping tests: exact stationary data, the shrinking-sphere law,
-stopping reasons, determinism, and redistribution."""
+stopping reasons, determinism, and the stage 1 geometry shared by records
+and RK stages."""
 
 import numpy as np
 import pytest
 
 from kflow.ambient import get_model
 from kflow.errors import ConfigError
-from kflow.flow import (
-    FlowConfig,
-    FlowState,
-    redistribute,
-    resolved_spacing,
-    run,
-    step,
-)
-from kflow.immersion import compute_geometry, compute_mean_curvature, integrate_scalar
+from kflow.flow import FlowConfig, FlowState, resolved_spacing, run, step
+from kflow.immersion import compute_mean_curvature
 from kflow.surfaces import build_surface
 
 C2 = get_model("flat-C2")
@@ -29,8 +23,6 @@ def test_flow_config_validation():
         FlowConfig(t_end=1.0, cfl_factor=0.9)
     with pytest.raises(ConfigError):
         FlowConfig(t_end=1.0, snapshot_stride=0)
-    with pytest.raises(ConfigError):
-        FlowConfig(t_end=1.0, redistribution={"every": 0, "strength": 0.1})
 
 
 def test_holomorphic_plane_is_stationary():
@@ -137,24 +129,6 @@ def test_records_are_time_ordered_with_final_state():
     assert ts[-1] == pytest.approx(result.state.t)
 
 
-def test_redistribution_preserves_shape():
-    grid = build_surface("torus-graph", T4, amplitude=0.2, nu=32, nv=32)
-    state = FlowState(grid=grid.copy(), t=0.0, step_index=0)
-    area0 = integrate_scalar(grid, np.ones((32, 32)))
-    out = redistribute(state, strength=0.2)
-    area1 = integrate_scalar(out.grid, np.ones((32, 32)))
-    # tangential node motion: the surface itself barely changes
-    assert abs(area1 - area0) / area0 < 1e-5
-    assert np.abs(out.grid.coords - grid.coords).max() > 0
-
-
-def test_redistribution_active_during_run():
-    grid = build_surface("torus-graph", T4, amplitude=0.2, nu=16, nv=16)
-    cfg = FlowConfig(t_end=0.01, redistribution={"every": 2, "strength": 0.1})
-    result = run(grid, cfg)
-    assert result.stop_reason in ("reached-t-end", "converged")
-
-
 def test_sphere_flow_no_polar_artifacts():
     """Polar rows stay on the shrinking round sphere despite the much finer
     azimuthal spacing there (the zonal filter works on velocities only)."""
@@ -189,8 +163,8 @@ def test_run_differentiates_each_recorded_state_once(monkeypatch):
 
 def test_run_evaluates_partials_once_per_rk_stage(monkeypatch):
     """A recorded state's stage 1 geometry is the first RK stage of the next
-    step: without redistribution, a run to t_end differentiates the grid
-    four times per step plus once for the initial record."""
+    step, so a run to t_end differentiates the grid four times per step plus
+    once for the initial record."""
     import kflow.immersion as immersion
 
     calls = []

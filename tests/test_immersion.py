@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kflow.ambient import FlatT4, get_model
-from kflow.flow import FlowState, redistribute
 from kflow.immersion import (
     _D1,
     _D2,
@@ -207,7 +206,7 @@ def test_frame_rotation_leaves_scalars_invariant():
 def test_adapted_frame_is_orthonormal():
     grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=32, nv=16)
     geom = compute_geometry(grid)
-    G = _per_chart(CP2, grid.chart_ids, grid.coords, CP2.metric)
+    G = CP2.metric(grid.coords)
     gram = np.einsum("...ia,...ab,...jb->...ij", geom.frame, G, geom.frame)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
 
@@ -230,7 +229,7 @@ def test_v2_matches_eps4_oracle(index):
     grid = _frame_test_grids()[index]
     geom = compute_geometry(grid)
     e1, e2, v1, v2 = np.moveaxis(geom.frame, -2, 0)
-    G = _per_chart(grid.model, grid.chart_ids, grid.coords, grid.model.metric)
+    G = grid.model.metric(grid.coords)
     w = np.sqrt(np.linalg.det(G))[..., None] * np.einsum("abcd,...a,...b,...c->...d", _EPS4, e1, e2, v1)
     want = np.einsum("...da,...a->...d", np.linalg.inv(G), w)
     want /= np.sqrt(np.einsum("...a,...ab,...b->...", want, G, want))[..., None]
@@ -243,7 +242,7 @@ def test_frame_is_positively_oriented(index):
     complex orientation."""
     grid = _frame_test_grids()[index]
     geom = compute_geometry(grid)
-    G = _per_chart(grid.model, grid.chart_ids, grid.coords, grid.model.metric)
+    G = grid.model.metric(grid.coords)
     vol = np.sqrt(np.linalg.det(G)) * np.linalg.det(geom.frame)
     assert np.abs(vol - 1.0).max() < 1e-13
 
@@ -338,21 +337,9 @@ def test_tilted_plane_angle_property(theta):
 
 
 # -- oracle: the neighbour-gather stencils replaced by the padded lift -------
-# Copied from the former immersion.py, flow.redistribute and the models'
-# local_coords: every neighbour (i + a, j + b) is fancy-indexed and
-# re-expressed in the centre's chart.
-
-
-def _per_chart(model, charts, coords, fn):
-    """Evaluate a per-chart tensor function over a mixed-chart node array."""
-    out = None
-    for c in np.unique(charts):
-        m = charts == c
-        val = fn(coords[m], int(c))
-        if out is None:
-            out = np.empty(charts.shape + val.shape[1:], dtype=val.dtype)
-        out[m] = val
-    return out
+# Copied from the former immersion.py and the models' local_coords: every
+# neighbour (i + a, j + b) is fancy-indexed and re-expressed in the centre's
+# chart.
 
 
 def _local_coords(model, center_chart, q_x, q_chart):
@@ -473,36 +460,6 @@ def gathered_partials(grid: SurfaceGrid):
     )
 
 
-def gathered_redistribute(state: FlowState, strength: float) -> FlowState:
-    """The former `flow.redistribute`, on the gathered 4-point average."""
-    if strength == 0.0:
-        return state
-    grid = state.grid.copy()
-    avg = (
-        gather_neighbor_coords(grid, 1, 0)
-        + gather_neighbor_coords(grid, -1, 0)
-        + gather_neighbor_coords(grid, 0, 1)
-        + gather_neighbor_coords(grid, 0, -1)
-    ) / 4.0
-    disp = avg - grid.coords
-    Fu, Fv, *_ = gathered_partials(grid)
-    # The metric contraction is the program's own `model.inner` (checked
-    # against `metric` in test_ambient), so that the gathered stencils are
-    # compared bit for bit on curved grids too.
-    x = grid.coords
-    du_ = grid.model.inner(x, disp, Fu)
-    dv_ = grid.model.inner(x, disp, Fv)
-    g11 = grid.model.inner(x, Fu, Fu)
-    g12 = grid.model.inner(x, Fu, Fv)
-    g22 = grid.model.inner(x, Fv, Fv)
-    det = g11 * g22 - g12**2
-    cu = (g22 * du_ - g12 * dv_) / det
-    cv = (g11 * dv_ - g12 * du_) / det
-    tangential = cu[..., None] * Fu + cv[..., None] * Fv
-    grid.coords += strength * tangential
-    return FlowState(grid=grid, t=state.t, step_index=state.step_index)
-
-
 def _wrapped_torus(nu=32, nv=24):
     """Torus graph with a mixed term, shifted and wrapped by the model so
     that the coordinate jumps fall mid-grid."""
@@ -568,10 +525,3 @@ def test_field_deriv_matches_gathered_oracle(family, axis, parity):
     want /= grid.du if axis == 0 else grid.dv
     assert np.array_equal(field_deriv(grid, f, axis, pole_parity=parity), want)
 
-
-@pytest.mark.parametrize("family", ["round-sphere", "perturbed-cp1", "torus-graph"])
-def test_redistribute_matches_gathered_average(family):
-    state = FlowState(grid=_ORACLE_GRIDS[family]())
-    got = redistribute(state, 0.3).grid.coords
-    want = gathered_redistribute(state, 0.3).grid.coords
-    assert np.array_equal(got, want)
