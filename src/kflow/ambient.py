@@ -158,7 +158,7 @@ class AmbientModel:
     def random_point(self, rng) -> ChartPoint:
         raise NotImplementedError
 
-    def norm(self, x, chart, v):
+    def norm(self, x, v):
         return np.sqrt(self.inner(x, v, v))
 
     def _require_valid(self, p: ChartPoint):

@@ -156,7 +156,7 @@ def calibrate_r0(
     all_c = grid.chart_ids.reshape(-1)
     base_x = all_x[flat_idx]
     base_c = all_c[flat_idx]
-    unit = dirs / model.norm(base_x, base_c, dirs)[:, None]
+    unit = dirs / model.norm(base_x, dirs)[:, None]
 
     def max_density(r):
         tau = r * r

@@ -51,7 +51,6 @@ SERIES_HEADER = (
     "L2H",
     "supA",
     "cumL1H",
-    "max_residual",
 )
 
 
@@ -65,7 +64,6 @@ class DiagnosticsRecord:
     L2H: float
     supA: float
     cumL1H: float
-    max_residual: float | None = None
     # int |H| dmu at this instant; feeds the trapezoid advancing cumL1H.
     # Not part of the series schema.
     l1H: float = 0.0
@@ -87,7 +85,6 @@ def record(
     t: float,
     geom: GridGeometry | None = None,
     prev: DiagnosticsRecord | None = None,
-    max_residual: float | None = None,
 ) -> DiagnosticsRecord:
     """Compute one DiagnosticsRecord from the current geometry.
 
@@ -120,7 +117,6 @@ def record(
         L2H=float(l2h),
         supA=supA,
         cumL1H=float(cum),
-        max_residual=max_residual,
         l1H=float(l1h),
     )
 
@@ -254,9 +250,7 @@ def write_series(path, series):
         w = csv.writer(fh)
         w.writerow(SERIES_HEADER)
         for r in series:
-            row = [repr(getattr(r, name)) for name in SERIES_HEADER[:-1]]
-            row.append("" if r.max_residual is None else repr(r.max_residual))
-            w.writerow(row)
+            w.writerow([repr(getattr(r, name)) for name in SERIES_HEADER])
 
 
 def read_series(path):
@@ -267,12 +261,5 @@ def read_series(path):
         if header != SERIES_HEADER:
             raise ValueError(f"unexpected series header {header!r}")
         for row in reader:
-            vals = dict(zip(SERIES_HEADER, row))
-            mr = vals.pop("max_residual")
-            out.append(
-                DiagnosticsRecord(
-                    max_residual=None if mr == "" else float(mr),
-                    **{k: float(v) for k, v in vals.items()},
-                )
-            )
+            out.append(DiagnosticsRecord(**{k: float(v) for k, v in zip(SERIES_HEADER, row)}))
     return out

@@ -5,10 +5,12 @@ coordinates.  The step size is cfl_factor * h_res^2 where h_res is the
 resolved grid spacing recomputed from the induced metric every step.
 
 Each RK stage evaluates stage 1 of the immersion geometry
-(`compute_mean_curvature`: induced metric, spacings and H).  Stage 2
-(`compute_geometry`) runs only when a diagnostics record is due; its
-stage 1 is then the first RK stage of the next step, so no state is
-differentiated twice.
+(`compute_mean_curvature`: induced metric, spacings and H).  `run` records
+the initial state, every diagnostics_stride-th state and the state it stops
+at, and snapshots the same states by snapshot_stride.  A record's stage 2
+(`compute_geometry`) is built on the state's stage 1, which is also the
+first RK stage of the step leaving the state: no state is differentiated
+twice.
 
 On sphere grids the azimuthal spacing collapses like sin(v) toward the
 poles, so a literal min-spacing step size would shrink quadratically in the
@@ -194,78 +196,42 @@ def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None)
 
 
 def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
-    """Advance the flow to t_end, emitting a DiagnosticsRecord every
-    diagnostics_stride steps and a snapshot every snapshot_stride steps.
-
-    A recorded state's stage 1 geometry (`GridGeometry.stage1`) is the first
-    RK stage of the step that leaves it, so no state is differentiated
-    twice."""
+    """Advance the flow until it reaches t_end, converges (max|H| below
+    converged_H_tol), is flagged (sup|A| above the blow-up threshold) or
+    degenerates.  The run ends on a record and a snapshot of the state it
+    stopped at, unless that state's geometry raised DegenerateImmersionError."""
     state = FlowState(grid=initial.copy())
-    try:
-        geom = compute_geometry(state.grid)
-    except DegenerateImmersionError:
-        return FlowResult(
-            records=[],
-            snapshots=[(state.grid.copy(), state.t)],
-            stop_reason="degenerate-grid",
-            state=state,
-            holomorphicity_gap=None,
-        )
-    rec = record(state.grid, state.t, geom=geom)  # geom stays that of records[-1]
-    vel = geom.stage1  # stage 1 of state.grid, or None when not yet computed
-    records = [rec]
     snapshots = [(state.grid.copy(), state.t)]
+    records = []
     threshold = config.blowup_threshold
-    if threshold is None:
-        threshold = 1e3 / np.sqrt(rec.area)
     stop = None
-    gap = None
-    if rec.supA > threshold:
-        stop = "blowup-flag"
-    while stop is None and state.t < config.t_end - 1e-15:
-        try:
-            if vel is None:
-                vel = compute_mean_curvature(state.grid)
-            if float(np.sqrt(vel.H_norm_sq.max())) < config.converged_H_tol:
+    try:
+        vel = compute_mean_curvature(state.grid)
+        while True:
+            if state.t >= config.t_end - 1e-15:
+                stop = "reached-t-end"
+            elif float(np.sqrt(vel.H_norm_sq.max())) < config.converged_H_tol:
                 stop = "converged"
+            if stop or state.step_index % config.diagnostics_stride == 0:
+                geom = compute_geometry(state.grid, vel)
+                rec = record(state.grid, state.t, geom=geom, prev=records[-1] if records else None)
+                records.append(rec)
+                if threshold is None:
+                    threshold = 1e3 / np.sqrt(rec.area)
+                if not np.isfinite(rec.area):
+                    stop = "degenerate-grid"
+                elif rec.supA > threshold:
+                    stop = "blowup-flag"
+            if state.step_index and (stop or state.step_index % config.snapshot_stride == 0):
+                snapshots.append((state.grid.copy(), state.t))
+            if stop:
                 break
             state = step(state, config, vel)
-            vel = None
-        except DegenerateImmersionError:
-            stop = "degenerate-grid"
-            break
-        at_end = state.t >= config.t_end - 1e-15
-        if state.step_index % config.diagnostics_stride == 0 or at_end:
-            try:
-                geom = compute_geometry(state.grid)
-            except DegenerateImmersionError:
-                stop = "degenerate-grid"
-                break
-            vel = geom.stage1
-            rec = record(state.grid, state.t, geom=geom, prev=records[-1])
-            records.append(rec)
-            if not np.isfinite(rec.area):
-                stop = "degenerate-grid"
-                break
-            if rec.supA > threshold:
-                stop = "blowup-flag"
-                break
-        if state.step_index % config.snapshot_stride == 0 or at_end:
-            snapshots.append((state.grid.copy(), state.t))
-    if stop is None:
-        stop = "reached-t-end"
-    if stop in ("converged", "reached-t-end"):
-        try:
-            if records[-1].t < state.t - 1e-15:
-                geom = compute_geometry(state.grid)
-                records.append(record(state.grid, state.t, geom=geom, prev=records[-1]))
-            gap = float(np.max(np.abs(1.0 - geom.cos_alpha)))
-        except DegenerateImmersionError:
-            stop = "degenerate-grid"
-    return FlowResult(
-        records=records,
-        snapshots=snapshots,
-        stop_reason=stop,
-        state=state,
-        holomorphicity_gap=gap,
-    )
+            vel = None  # held while the next stage 1 is built, it raises peak memory
+            vel = compute_mean_curvature(state.grid)
+    except DegenerateImmersionError:
+        stop = "degenerate-grid"
+    gap = None
+    if stop in ("converged", "reached-t-end"):  # geom is then the final state's
+        gap = float(np.max(np.abs(1.0 - geom.cos_alpha)))
+    return FlowResult(records, snapshots, stop, state, holomorphicity_gap=gap)

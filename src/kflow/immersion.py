@@ -57,7 +57,6 @@ class SurfaceGrid:
     chart_ids: np.ndarray  # (nu, nv) int
     coords: np.ndarray  # (nu, nv, 4) float
     period_offsets: np.ndarray | None = None  # (2, 4); flat models only
-    orientation: int = 1
 
     def __post_init__(self):
         self.chart_ids = np.asarray(self.chart_ids, dtype=int)
@@ -96,7 +95,6 @@ class SurfaceGrid:
             period_offsets=None
             if self.period_offsets is None
             else self.period_offsets.copy(),
-            orientation=self.orientation,
         )
 
 
@@ -304,7 +302,7 @@ def _sym2(a, b, c):
     return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
 
 
-def compute_mean_curvature(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> MeanCurvature:
+def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
     """Stage 1: the partials, the induced metric and its inverse, the
     spacings, T_ab = F_ab + Gamma(F_a, F_b) and the mean curvature vector
     H = g^ab T_ab minus its tangential part."""
@@ -314,7 +312,7 @@ def compute_mean_curvature(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> Mean
     g12 = model.inner(x, Fu, Fv)
     g22 = model.inner(x, Fv, Fv)
     det = g11 * g22 - g12**2
-    if np.any(det <= floor**4):
+    if np.any(det <= NONDEGENERACY_FLOOR**4):
         raise DegenerateImmersionError("induced metric degenerate in flow step")
     i11 = g22 / det
     i22 = g11 / det
@@ -336,14 +334,14 @@ def _normalize(model, x, v):
     return v / n[..., None], n
 
 
-def _adapted_frames(model, x, Fu, Fv, floor):
+def _adapted_frames(model, x, Fu, Fv):
     """Orthonormal frames at every node, as (nu, nv, 4, 4) with rows e1, e2
     (Gram-Schmidt on Fu, Fv), v1 and v2 (normal, positively oriented)."""
     e1, n1 = _normalize(model, x, Fu)
-    if np.any(n1 < floor):
+    if np.any(n1 < NONDEGENERACY_FLOOR):
         raise DegenerateImmersionError("tangent vector below nondegeneracy floor")
     e2, n2 = _normalize(model, x, Fv - model.inner(x, e1, Fv)[..., None] * e1)
-    if np.any(n2 < floor):
+    if np.any(n2 < NONDEGENERACY_FLOOR):
         raise DegenerateImmersionError("Gram-Schmidt pivot below floor")
 
     # Normal seed: the coordinate basis vector least aligned with the tangent
@@ -360,7 +358,7 @@ def _adapted_frames(model, x, Fu, Fv, floor):
         - np.take_along_axis(be2, seed, -1) * e2
     )
     v1, nv1 = _normalize(model, x, v1raw)
-    if np.any(nv1 < floor):
+    if np.any(nv1 < NONDEGENERACY_FLOOR):
         raise DegenerateImmersionError("normal seed degenerate")
 
     # v2 is fixed by the ambient orientation, <v2, X> = vol(e1, e2, v1, X).
@@ -401,17 +399,19 @@ def _second_fundamental(model, x, stage1: MeanCurvature, frame):
     return h, Hvec, H2, cos_alpha, sin_sq_alpha, nabla_J_squared(h), A2
 
 
-def compute_geometry(grid: SurfaceGrid, floor=NONDEGENERACY_FLOOR) -> GridGeometry:
+def compute_geometry(grid: SurfaceGrid, stage1: MeanCurvature | None = None) -> GridGeometry:
     """Stage 2: stage 1 plus the adapted frame, the second fundamental form
     h in it, cos(alpha) = omega(e1, e2), sin^2(alpha), |nabla J|^2 and
-    |A|^2."""
-    stage1 = compute_mean_curvature(grid, floor)
+    |A|^2.  `stage1`, when given, is the stage 1 of this grid, already
+    computed; it is built on rather than recomputed."""
+    if stage1 is None:
+        stage1 = compute_mean_curvature(grid)
     g11, g12, g22 = stage1.g11, stage1.g12, stage1.g22
     lam_min = 0.5 * (g11 + g22) - np.hypot(0.5 * (g11 - g22), g12)
-    if np.any(lam_min < floor**2):
+    if np.any(lam_min < NONDEGENERACY_FLOOR**2):
         raise DegenerateImmersionError("induced metric not SPD above floor")
     model, x = grid.model, grid.coords
-    frame = _adapted_frames(model, x, stage1.Fu, stage1.Fv, floor)
+    frame = _adapted_frames(model, x, stage1.Fu, stage1.Fv)
     return GridGeometry(grid, stage1, frame, *_second_fundamental(model, x, stage1, frame))
 
 
@@ -528,7 +528,6 @@ def grid_from_dict(doc, model: AmbientModel | None = None) -> SurfaceGrid:
         chart_ids=np.array(doc["chart_ids"], dtype=int),
         coords=np.array(doc["coords"], dtype=float),
         period_offsets=None if offs is None else np.array(offs, dtype=float),
-        orientation=doc.get("orientation", 1),
     )
 
 
@@ -543,7 +542,6 @@ def save_grid(path, grid: SurfaceGrid, t=None):
         "model": grid.model.name,
         "chart_ids": grid.chart_ids.tolist(),
         "coords": None,
-        "orientation": grid.orientation,
     }
     if hasattr(grid.model, "periods"):
         doc["model_periods"] = grid.model.periods.tolist()

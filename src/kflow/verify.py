@@ -93,7 +93,7 @@ def check_exp_log_roundtrip(model, tol=1e-12):
     for _ in range(10):
         p = model.random_point(rng)
         v = rng.normal(size=4)
-        v = 0.3 * v / model.norm(p.x, p.chart_id, v)
+        v = 0.3 * v / model.norm(p.x, v)
         xs, cs = model.exp(p.x[None], p.chart_id, v[None], 1.0)
         q = ChartPoint(int(cs[0]), xs[0])
         w = model.log(p, q)

@@ -140,7 +140,7 @@ def test_exp_log_roundtrip(model):
     for _ in range(6):
         p = model.random_point(rng)
         v = rng.normal(size=4)
-        v = 0.3 * v / model.norm(p.x, p.chart_id, v)
+        v = 0.3 * v / model.norm(p.x, v)
         w = model.log(p, _exp_point(model, p, v))
         assert np.linalg.norm(w - v) < 1e-8
 
@@ -150,11 +150,11 @@ def test_log_norm_equals_distance(model):
     for _ in range(5):
         p = model.random_point(rng)
         v = rng.normal(size=4)
-        v = 0.4 * v / model.norm(p.x, p.chart_id, v)
+        v = 0.4 * v / model.norm(p.x, v)
         q = _exp_point(model, p, v)
         w = model.log(p, q)
         d = float(model.distance(p.x, p.chart_id, q.x, q.chart_id))
-        assert abs(model.norm(p.x, p.chart_id, w) - d) < 1e-8
+        assert abs(model.norm(p.x, w) - d) < 1e-8
 
 
 def test_cp2_log_rejects_points_beyond_injectivity_bound():
@@ -288,11 +288,11 @@ class TestPerPointCharts:
         assert np.array_equal(got_x, want_x) and np.array_equal(got_c, want_c)
 
     def test_norm(self):
-        rng, xs, charts = self._batch()
+        """The norm reads no chart id: on a batch spread over the three
+        charts it is the square root of the pointwise inner product."""
+        rng, xs, _ = self._batch()
         v = rng.normal(size=xs.shape)
-        got = self.cp2.norm(xs, charts, v)
-        want = self._per_chart(charts, lambda m, c: self.cp2.norm(xs[m], c, v[m]))
-        assert np.array_equal(got, want)
+        assert np.array_equal(self.cp2.norm(xs, v), np.sqrt(self.cp2.inner(xs, v, v)))
 
     def test_distance_matrix_matches_chart_pair_loop(self):
         _, xs, cs = self._batch(n=12, seed=22)
@@ -390,7 +390,7 @@ def test_fs_exp_log_roundtrip_across_chart_changes():
         z = rng.normal(size=4)
         x = rng.uniform(0.0, 1.9) * z / np.max(np.abs(to_complex(z)))
         v = rng.normal(size=4)
-        v = rng.uniform(0.05, 1.4) * v / cp2.norm(x, chart, v)
+        v = rng.uniform(0.05, 1.4) * v / cp2.norm(x, v)
         xs, cs = cp2.exp(x[None], chart, v[None], 1.0)
         changed += int(cs[0] != chart)
         p = ChartPoint(chart, x)
@@ -406,7 +406,7 @@ def test_fs_exp_matches_rk4_geodesic_ode():
     rng = np.random.default_rng(60)
     x0 = rng.uniform(-0.5, 0.5, size=(12, 4))
     v0 = rng.normal(size=(12, 4))
-    v0 *= rng.uniform(0.2, 1.0, size=(12, 1)) / cp2.norm(x0, 0, v0)[:, None]
+    v0 *= rng.uniform(0.2, 1.0, size=(12, 1)) / cp2.norm(x0, v0)[:, None]
 
     def rhs(x, u):
         return u, -np.einsum("...kij,...i,...j->...k", cp2.christoffel(x), u, u)

@@ -189,6 +189,17 @@ class TestRunCommand:
         assert snaps and summary["n_snapshots"] == len(snaps)
         assert not (out / "error.json").exists()
 
+    def test_converged_run_ends_on_a_snapshot_of_its_final_state(self, tmp_path):
+        out = tmp_path / "conv"
+        doc = _base_config(out, t_end=1.0, converged_H_tol=1e-3)
+        doc["model"] = "Fubini-Study-CP2"
+        doc["surface"] = {"family": "perturbed-cp1", "params": {"delta": 0.05}, "nu": 16, "nv": 8}
+        assert main(["run", _write(tmp_path / "conv.json", doc)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "converged"
+        last = out / "snapshots" / f"t_{summary['n_snapshots'] - 1}.json"
+        assert json.loads(last.read_text())["t"] == summary["t_final"]
+
     def test_config_error_exit_code_and_error_json(self, tmp_path):
         out = tmp_path / "bad-run"
         doc = _base_config(out)

@@ -201,7 +201,7 @@ def _unblocked_calibrate_r0(grid, eps0, seed=0, n_offsurface=100):
     all_c = grid.chart_ids.reshape(-1)
     D_nodes = density._distance_matrix(model, all_x, all_c, grid)
     base_x, base_c = all_x[flat_idx], all_c[flat_idx]
-    unit = dirs / model.norm(base_x, base_c, dirs)[:, None]
+    unit = dirs / model.norm(base_x, dirs)[:, None]
 
     def ok(r):
         tau = r * r

@@ -51,7 +51,6 @@ def _synthetic(ts, V, L2H=None, cum=None, area=1.0, symp=1.0):
                 L2H=0.0 if L2H is None else float(L2H[i]),
                 supA=1.0,
                 cumL1H=0.0 if cum is None else float(cum[i]),
-                max_residual=None,
                 l1H=0.0,
             )
         )
@@ -191,14 +190,12 @@ class TestEvolutionResidual:
 def test_series_roundtrip(tmp_path):
     grid = _tilted_plane(0.4)  # positive cos(alpha): V stays finite
     r0 = record(grid, t=0.0)
-    r1 = record(grid, t=0.125, prev=r0, max_residual=3.5e-4)
+    r1 = record(grid, t=0.125, prev=r0)
     path = tmp_path / "series.csv"
     write_series(path, [r0, r1])
     header = path.read_text().splitlines()[0]
     assert header == ",".join(SERIES_HEADER)
     back = read_series(path)
     assert len(back) == 2
-    assert back[0].max_residual is None
-    assert back[1].max_residual == pytest.approx(3.5e-4)
     for field in ("t", "area", "symp_area", "V", "L2H", "supA", "cumL1H"):
         assert getattr(back[1], field) == pytest.approx(getattr(r1, field), rel=1e-12)

@@ -120,6 +120,26 @@ def test_snapshot_and_diagnostics_strides():
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(result.state.t)
 
 
+@pytest.mark.parametrize(
+    "surface, model, params, cfg, stop",
+    [
+        # converges at t ~ 0.378, between two strided snapshots
+        ("perturbed-cp1", CP2, dict(delta=0.05), dict(t_end=1.0, converged_H_tol=1e-3), "converged"),
+        # extinction at t = R0^2/4 = 0.0225, before the first strided snapshot
+        ("round-sphere", C2, dict(radius=0.3), dict(t_end=0.03, blowup_threshold=50.0), "blowup-flag"),
+    ],
+    ids=["converged", "blowup-flag"],
+)
+def test_run_ends_on_a_snapshot_of_its_final_state(surface, model, params, cfg, stop):
+    grid = build_surface(surface, model, nu=16, nv=8, **params)
+    result = run(grid, FlowConfig(**cfg))
+    assert result.stop_reason == stop
+    last, t = result.snapshots[-1]
+    assert t == result.state.t > 0.0
+    assert np.array_equal(last.coords, result.state.grid.coords)
+    assert result.records[-1].t == t
+
+
 def test_records_are_time_ordered_with_final_state():
     grid = build_surface("torus-graph", T4, amplitude=0.1, nu=16, nv=16)
     result = run(grid, FlowConfig(t_end=0.01, diagnostics_stride=3))
@@ -148,9 +168,9 @@ def test_run_differentiates_each_recorded_state_once(monkeypatch):
     calls = []
     real = flow.compute_geometry
 
-    def counting(grid, floor=1e-6):
+    def counting(grid, stage1=None):
         calls.append(grid)
-        return real(grid, floor=floor)
+        return real(grid, stage1)
 
     monkeypatch.setattr(flow, "compute_geometry", counting)
     grid = build_surface("round-sphere", C2, radius=1.0, nu=16, nv=8)

@@ -269,7 +269,6 @@ def _snapshot_doc(grid, t=None):
         "model": grid.model.name,
         "chart_ids": grid.chart_ids.tolist(),
         "coords": grid.coords.tolist(),
-        "orientation": grid.orientation,
     }
     if hasattr(grid.model, "periods"):
         doc["model_periods"] = grid.model.periods.tolist()
@@ -301,6 +300,22 @@ def test_save_grid_bytes_are_json_dumps_of_the_document(tmp_path, index, t):
     path = tmp_path / "snap.json"
     save_grid(path, grid, t=t)
     assert path.read_bytes() == json.dumps(_snapshot_doc(grid, t)).encode()
+
+
+def test_snapshot_with_orientation_key_loads(tmp_path):
+    """Snapshots written before the dead "orientation" field was dropped
+    still carry the key; they load to the same grid."""
+    grid = _snapshot_grids()[1]
+    doc = _snapshot_doc(grid, 0.25)
+    doc["orientation"] = 1
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    back, t = load_grid(path)
+    assert t == 0.25
+    assert np.array_equal(back.chart_ids, grid.chart_ids)
+    assert np.array_equal(back.coords, grid.coords)
+    save_grid(path, back, t=t)
+    assert "orientation" not in json.loads(path.read_text())
 
 
 def test_save_grid_memory_is_bounded(tmp_path):
