@@ -176,6 +176,7 @@ class _FlatModel(AmbientModel):
     connection and curvature, straight geodesics)."""
 
     is_flat = True
+    n_charts = 1
 
     @property
     def scalar_curvature(self):
@@ -204,19 +205,19 @@ class _FlatModel(AmbientModel):
             np.zeros(lead),
         )
 
-    # Single-chart models: to_chart maps to the canonical representative.
+    # One chart: points are coordinates in R⁴, to_chart copies, and no node
+    # ever changes chart (flow._reassign_charts skips flat models).
 
     def chart_valid(self, x, chart):
         return np.isfinite(np.asarray(x)).all(axis=-1)
 
-    def preferred_chart(self, x, chart):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1], dtype=int), self.to_chart(x, 0, 0)
+    def to_chart(self, x, chart_from, chart_to):
+        return np.asarray(x, dtype=float).copy()
 
     def exp(self, x, chart, v, s):
         x = np.asarray(x, dtype=float)
         out = x + np.asarray(s)[..., None] * np.asarray(v, dtype=float)
-        return self.to_chart(out, 0, 0), np.zeros(x.shape[:-1], dtype=int)
+        return out, np.zeros(x.shape[:-1], dtype=int)
 
     def distance(self, x1, chart1, x2, chart2):
         """|x2 - x1| (nearest lattice image on T⁴) from a component-major (4, ...)
@@ -236,11 +237,7 @@ class FlatC2(_FlatModel):
     """C² with the Euclidean metric and the standard complex structure."""
 
     name = "flat-C2"
-    n_charts = 1
     injectivity_radius_bound = np.inf
-
-    def to_chart(self, x, chart_from, chart_to):
-        return np.asarray(x, dtype=float).copy()
 
     def log(self, p, q):
         self._require_valid(p)
@@ -251,10 +248,11 @@ class FlatC2(_FlatModel):
 
 
 class FlatT4(_FlatModel):
-    """Flat 4-torus R⁴/Λ with a rectangular lattice of periods."""
+    """Flat 4-torus R⁴/Λ with a rectangular lattice of periods.  Points keep
+    coordinates in R⁴ and surfaces are lifts closed by period offsets in Λ;
+    only `log` and `distance` reduce by the lattice."""
 
     name = "flat-T4"
-    n_charts = 1
 
     def __init__(self, periods=(2 * np.pi,) * 4):
         self.periods = np.asarray(periods, dtype=float)
@@ -262,16 +260,10 @@ class FlatT4(_FlatModel):
             raise ValueError(f"lattice periods must be four positive numbers, not {periods!r}")
         self.injectivity_radius_bound = float(self.periods.min() / 2.0)
 
-    def wrap(self, x):
-        return np.mod(np.asarray(x, dtype=float), self.periods)
-
     def min_image(self, d, k=slice(None)):
         """Representative of a coordinate difference (of coordinate k alone) closest to zero."""
         d = np.asarray(d, dtype=float)
         return d - np.round(d / self.periods[k]) * self.periods[k]
-
-    def to_chart(self, x, chart_from, chart_to):
-        return self.wrap(x)
 
     def log(self, p, q):
         self._require_valid(p)

@@ -93,6 +93,8 @@ def execute_run(resolved, out_dir: Path):
         write_monitor(out_dir / "monitor.csv", report)
 
     lam = model.einstein_constant
+    # a grid degenerate from the start leaves no record to summarize
+    series = dataclasses.asdict(summarize(result.records, lam)) if result.records else None
     summary = {
         "stop_reason": result.stop_reason,
         "holomorphicity_gap": result.holomorphicity_gap,
@@ -102,7 +104,7 @@ def execute_run(resolved, out_dir: Path):
         "einstein_constant": lam,
         "n_records": len(result.records),
         "n_snapshots": len(result.snapshots),
-        "series_summary": dataclasses.asdict(summarize(result.records, lam)),
+        "series_summary": series,
     }
     if report is not None:
         summary["monitor"] = {
@@ -244,13 +246,16 @@ def cmd_density(run_dir, queries_path=None) -> int:
         resolved = load_json(run_dir / "config.resolved.json")
         model = build_model(resolved)
         queries = None if queries_path is None else _read_queries(load_json(queries_path), model)
+        states = []
+        for p in snaps:
+            try:
+                g, t = load_grid(p, model=model)
+                states.append((g, float(t)))
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"unreadable snapshot {p}: {type(exc).__name__}: {exc}") from exc
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    states = []
-    for p in snaps:
-        g, t = load_grid(p, model=model)
-        states.append((g, float(t)))
 
     import csv
 

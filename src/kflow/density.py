@@ -101,6 +101,8 @@ def _distance_matrix(model: AmbientModel, xs, cs, grid: SurfaceGrid):
 
 # kernel entries per row block of the density sums
 _BLOCK_ENTRIES = 1 << 18
+_N_OFFSURFACE = 100  # random calibration centres near the surface
+_MAX_QUERIES_PER_SNAPSHOT = 500  # monitor centres per snapshot
 
 
 def _densities(grid: SurfaceGrid, xs, cs, w, r, tau):
@@ -128,12 +130,10 @@ def parabolic_density(
     return float(integrate_scalar(grid, _kernel(d, query.r, tau), geom))
 
 
-def calibrate_r0(
-    grid: SurfaceGrid, eps0: float, seed: int = 0, n_offsurface: int = 100
-) -> float:
+def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
     """Largest kernel radius r0 (bisection) such that the density of the
     initial surface at t0 = r0^2 stays <= 1 + eps0/2 over every surface
-    node and `n_offsurface` random ambient points within r0 of the surface.
+    node and `_N_OFFSURFACE` random ambient points within r0 of the surface.
 
     Raises CalibrationError when no radius above the resolution floor 4h
     qualifies (grid too coarse for the requested eps0)."""
@@ -147,9 +147,9 @@ def calibrate_r0(
             f"admissible radius range ({floor:.4f}, {r_max:.4f}) is empty"
         )
     rng = np.random.default_rng(seed)
-    flat_idx = rng.integers(0, grid.nu * grid.nv, size=n_offsurface)
-    dirs = rng.normal(size=(n_offsurface, 4))
-    fracs = rng.uniform(0.0, 1.0, size=n_offsurface)
+    flat_idx = rng.integers(0, grid.nu * grid.nv, size=_N_OFFSURFACE)
+    dirs = rng.normal(size=(_N_OFFSURFACE, 4))
+    fracs = rng.uniform(0.0, 1.0, size=_N_OFFSURFACE)
 
     w = quadrature_weights(grid, stage1).reshape(-1)
     all_x = grid.coords.reshape(-1, 4)
@@ -201,18 +201,16 @@ class MonitorReport:
     eps0: float
 
 
-def monitor_regularity(
-    snapshots, r0: float, eps0: float, max_queries_per_snapshot: int = 500
-) -> MonitorReport:
+def monitor_regularity(snapshots, r0: float, eps0: float) -> MonitorReport:
     """Sample the density along a run's snapshots.
 
     Each snapshot (grid, t) is probed with kernel scale tau = r0^2 at
     t0 = t + r0^2; centers X0 are the snapshot's own nodes, subsampled to
-    at most `max_queries_per_snapshot`."""
+    at most `_MAX_QUERIES_PER_SNAPSHOT`."""
     rows = []
     for grid, t in snapshots:
         n = grid.nu * grid.nv
-        stride = max(1, int(np.ceil(n / max_queries_per_snapshot)))
+        stride = max(1, int(np.ceil(n / _MAX_QUERIES_PER_SNAPSHOT)))
         idx = np.arange(0, n, stride)
         t0 = t + r0 * r0
         w = quadrature_weights(grid).reshape(-1)

@@ -41,6 +41,7 @@ from .immersion import (
 )
 
 COS_ALPHA_FLOOR = 1e-8
+EPS_CHECK = 0.05  # relative slack of the V-decay, L2 and L1 bounds
 
 SERIES_HEADER = (
     "t",
@@ -133,15 +134,15 @@ def check_symplectic_area(series) -> float | None:
     return max(abs(r.symp_area - s0) for r in series) / abs(s0)
 
 
-def check_angle_decay(series, R: float, eps_check: float = 0.05):
-    """Verify V(t) <= C0 exp(-R t) (1 + eps) and fit the decay rate.
+def check_angle_decay(series, R: float):
+    """Verify V(t) <= C0 exp(-R t) (1 + EPS_CHECK) and fit the decay rate.
 
     Returns (fitted_rate, decay_bound_ok).  fitted_rate is None when V is
     at floor level everywhere (already holomorphic data).
     """
     C0 = series[0].V
     ok = all(
-        r.V <= C0 * np.exp(-R * (r.t - series[0].t)) * (1.0 + eps_check)
+        r.V <= C0 * np.exp(-R * (r.t - series[0].t)) * (1.0 + EPS_CHECK)
         for r in series
     )
     ts = np.array([r.t for r in series])
@@ -153,9 +154,9 @@ def check_angle_decay(series, R: float, eps_check: float = 0.05):
     return float(-slope), ok
 
 
-def check_l2_unit_intervals(series, R: float, eps_check: float = 0.05) -> bool:
+def check_l2_unit_intervals(series, R: float) -> bool:
     """For every record time t, trapezoid int_t^{t'} int |H|^2 dmu dt with
-    t' = min(t + 1, T_end) must be <= C0 exp(-R t) (1 + eps).
+    t' = min(t + 1, T_end) must be <= C0 exp(-R t) (1 + EPS_CHECK).
 
     Windows are clipped to the end of the run: the continuous bound holds
     for any t' <= t + 1, so a partial window is a valid (weaker) check when
@@ -170,12 +171,12 @@ def check_l2_unit_intervals(series, R: float, eps_check: float = 0.05) -> bool:
     for i, t in enumerate(ts):
         t_hi = min(t + 1.0, ts[-1])
         window = np.interp(t_hi, ts, cum) - cum[i]
-        if window > C0 * np.exp(-R * (t - t0)) * (1.0 + eps_check):
+        if window > C0 * np.exp(-R * (t - t0)) * (1.0 + EPS_CHECK):
             return False
     return True
 
 
-def check_l1_bound(series, R: float, eps_check: float = 0.05):
+def check_l1_bound(series, R: float):
     """Cumulative bound int_0^T int |H| dmu dt <= sqrt(C0 Area(0)) / (1 - e^{-R/2}).
 
     Returns (bound_value, ok); (None, None) when R <= 0, where the bound
@@ -185,7 +186,7 @@ def check_l1_bound(series, R: float, eps_check: float = 0.05):
         return None, None
     C0 = series[0].V
     bound = np.sqrt(C0) * np.sqrt(series[0].area) / (1.0 - np.exp(-R / 2.0))
-    return float(bound), bool(series[-1].cumL1H <= bound * (1.0 + eps_check))
+    return float(bound), bool(series[-1].cumL1H <= bound * (1.0 + EPS_CHECK))
 
 
 def summarize(series, R: float) -> SeriesSummary:

@@ -156,8 +156,6 @@ def _reassign_charts(grid: SurfaceGrid):
     to their preferred chart (curved models only)."""
     model = grid.model
     if model.is_flat:
-        if grid.topology == "torus" and grid.period_offsets is None and hasattr(model, "wrap"):
-            grid.coords[...] = model.wrap(grid.coords)
         return grid
     z_mod = np.hypot(grid.coords[..., 0], grid.coords[..., 1])
     z_mod = np.maximum(z_mod, np.hypot(grid.coords[..., 2], grid.coords[..., 3]))

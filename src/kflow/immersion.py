@@ -13,7 +13,9 @@ several charts.
 
 Flat models additionally support quasi-periodic grids (period_offsets): the
 surface closes up to a fixed ambient translation per parameter period.  This
-realizes planes and linear holomorphic/Lagrangian test surfaces exactly.
+realizes planes and linear holomorphic/Lagrangian test surfaces exactly, and
+is how every torus grid in the flat 4-torus closes: the grid is a lift to R⁴
+whose offsets are lattice vectors (zero for a surface that does not wind).
 
 The geometry of a grid is computed in two stages, on the whole grid at once
 and through the ambient contractions g(u, w) and Gamma(u, w) only, so one
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import AmbientModel, apply_J, get_model
+from .ambient import AmbientModel, FlatT4, apply_J, get_model
 from .errors import DegenerateImmersionError
 
 TWO_PI = 2.0 * np.pi
@@ -69,6 +71,8 @@ class SurfaceGrid:
             self.period_offsets = np.asarray(self.period_offsets, dtype=float)
             if not self.model.is_flat:
                 raise ValueError("period offsets are a flat-model construct")
+        elif self.topology == "torus" and isinstance(self.model, FlatT4):
+            raise ValueError("a torus grid in flat-T4 is a lift to R⁴ and needs period_offsets")
 
     @property
     def nu(self):
@@ -173,17 +177,12 @@ def _padded_lifts(grid: SurfaceGrid):
 def _stencil_sums(grid: SurfaceGrid):
     """Unscaled stencil sums (Fu, Fv, Fuu, Fuv, Fvv) over the blocks
     nb(a, b) of `_shifted` on each padded lift; every node takes the values
-    computed in its own chart.  On flat T4, nb(a, b) is
-    centre + min_image(neighbour - centre), the neighbour's representative
-    nearest the centre."""
-    min_image = getattr(grid.model, "min_image", None)
+    computed in its own chart.  Flat grids, flat-T4 ones included, have one
+    lift, whose ghosts carry the period offsets."""
     out = None
     with np.errstate(invalid="ignore", over="ignore"):
         for mask, P in _padded_lifts(grid):
             nb = _shifted(P, grid.nu)
-            if min_image is not None:
-                shifted, centre = nb, nb(0, 0)
-                nb = lambda a, b: centre + min_image(shifted(a, b) - centre)
             along_u = [nb(off, 0) for off in _OFFS]
             along_v = [nb(0, off) for off in _OFFS]
             mixed = (

@@ -4,7 +4,7 @@ Each builder returns a SurfaceGrid.  Conventions:
 
 * plane / linear surfaces live in flat C^2 as quasi-periodic torus grids
   (the grid closes up to a fixed ambient translation per parameter period);
-* torus graphs live in the flat 4-torus;
+* torus graphs live in the flat 4-torus, as lifts closed by 2pi e1, 2pi e2;
 * round spheres sit in the (x1, y1, x2) slice of flat C^2;
 * cp1 is a degree-1 holomorphic curve in CP^2, parametrized so that its
   Kähler angle satisfies cos(alpha) = +1;
@@ -68,7 +68,11 @@ def plane(
 def torus_graph(
     model: FlatT4, amplitude=0.2, frequencies=(1, 1), nu=32, nv=32
 ) -> SurfaceGrid:
-    """F(u, v) = (u, v, eps sin(k1 u), eps cos(k2 v)) in the flat 4-torus."""
+    """F(u, v) = (u, v, eps sin(k1 u), eps cos(k2 v)) in the flat 4-torus, closed
+    by the offsets 2pi e1, 2pi e2; ValueError when they are not lattice vectors."""
+    offsets = 2 * np.pi * np.eye(2, 4)
+    if np.any(model.min_image(offsets) != 0):
+        raise ValueError(f"lattice periods {model.periods.tolist()} do not close a torus graph")
     k1, k2 = frequencies
     uu, vv = _param_grid(nu, nv, "torus")
     coords = np.stack(
@@ -85,6 +89,7 @@ def torus_graph(
         model=model,
         chart_ids=np.zeros((nu, nv), dtype=int),
         coords=coords,
+        period_offsets=offsets,
     )
 
 

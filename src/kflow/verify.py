@@ -44,12 +44,12 @@ def check_complex_structure(model):
     return f"{model.name}: complex structure / compatibility", err < 1e-12, f"max err {err:.2e}"
 
 
-def check_nabla_J_order(model, steps=(0.02, 0.01)):
+def check_nabla_J_order(model):
     """Covariant derivative of J vanishes (Kähler); the finite-difference
     approximation must converge to zero at order >= 1.8 in the step."""
     xs = _sample_points(model, n=20)
     errs = []
-    for h in steps:
+    for h in (0.02, 0.01):
         dg = np.empty(xs.shape[:-1] + (4, 4, 4))
         for c, e in enumerate(h * np.eye(4)):
             dg[..., c, :, :] = (
@@ -72,7 +72,7 @@ def check_nabla_J_order(model, steps=(0.02, 0.01)):
         errs.append(np.abs(nj).max())
     if errs[0] < 1e-11:
         return f"{model.name}: parallel J", True, f"residual {errs[0]:.2e} (exact)"
-    order = float(np.log(errs[0] / errs[1]) / np.log(steps[0] / steps[1]))
+    order = float(np.log(errs[0] / errs[1]) / np.log(2.0))  # the step halves
     return (
         f"{model.name}: parallel J (FD order)",
         order >= 1.8,
@@ -80,14 +80,14 @@ def check_nabla_J_order(model, steps=(0.02, 0.01)):
     )
 
 
-def check_einstein(model, tol=1e-10):
+def check_einstein(model):
     xs = _sample_points(model, n=10)
     _, ricci, _ = model.curvature(xs)
     err = np.abs(ricci - (model.scalar_curvature / 4.0) * model.metric(xs)).max()
-    return f"{model.name}: Einstein (Ric = R/4 g)", err < tol, f"max residual {err:.2e}"
+    return f"{model.name}: Einstein (Ric = R/4 g)", err < 1e-10, f"max residual {err:.2e}"
 
 
-def check_exp_log_roundtrip(model, tol=1e-12):
+def check_exp_log_roundtrip(model):
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(10):
@@ -98,20 +98,21 @@ def check_exp_log_roundtrip(model, tol=1e-12):
         q = ChartPoint(int(cs[0]), xs[0])
         w = model.log(p, q)
         worst = max(worst, float(np.linalg.norm(w - v)))
-    return f"{model.name}: exp/log round trip", worst < tol, f"max |log(exp(v)) - v| {worst:.2e}"
+    return f"{model.name}: exp/log round trip", worst < 1e-12, f"max |log(exp(v)) - v| {worst:.2e}"
 
 
-def check_curvature_bound(grid, tol=1e-12):
+def check_curvature_bound(grid):
     """|dJ|^2 >= |H|^2 / 2 at every node (the four-term identity)."""
     geom = compute_geometry(grid)
     gap = float(np.min(geom.nablaJ_sq - 0.5 * geom.H_norm_sq))
     name = f"{grid.model.name}: |dJ|^2 >= |H|^2/2"
-    return name, gap > -tol, f"min gap {gap:.2e}"
+    return name, gap > -1e-12, f"min gap {gap:.2e}"
 
 
-def check_frame_invariance(grid, n_rotations=50, tol=1e-10, seed=3):
+def check_frame_invariance(grid):
+    n_rotations = 50
     geom = compute_geometry(grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(n_rotations):
         th, ps = rng.uniform(0, 2 * np.pi, size=2)
@@ -126,7 +127,7 @@ def check_frame_invariance(grid, n_rotations=50, tol=1e-10, seed=3):
         )
     return (
         f"{grid.model.name}: frame invariance ({n_rotations} rotations)",
-        worst < tol,
+        worst < 1e-10,
         f"max relative change {worst:.2e}",
     )
 

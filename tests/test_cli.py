@@ -219,11 +219,18 @@ class TestRunCommand:
                 model_params={"periods": [0, 1, 1, 1]},
                 surface={"family": "torus-graph", "nu": 16, "nv": 16},
             ),
+            # 2pi e1 and 2pi e2, which close a torus graph, are not lattice vectors
+            lambda d: d.update(
+                model="flat-T4",
+                model_params={"periods": [3.0, 3.0, 3.0, 3.0]},
+                surface={"family": "torus-graph", "nu": 16, "nv": 16},
+            ),
             lambda d: d["flow"].update(snapshot_stride="5"),
             # a negative radius would give a kernel without a cutoff
             lambda d: d.update(density={"r0": -0.5}),
         ],
-        ids=["odd-nu-sphere", "zero-period", "string-stride", "negative-r0"],
+        ids=["odd-nu-sphere", "zero-period", "lattice-cannot-close", "string-stride",
+             "negative-r0"],
     )
     def test_bad_values_exit_1_with_config_error(self, tmp_path, capsys, mutate):
         out = tmp_path / "bad-run"
@@ -244,6 +251,21 @@ class TestRunCommand:
         assert main(["run", cfg]) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["message"] == "blowup-flag"
+
+    def test_degenerate_initial_grid_exits_3(self, tmp_path):
+        """A grid degenerate from the start gives no record: the run still
+        writes error.json and a summary without a series summary."""
+        out = tmp_path / "degen"
+        doc = _base_config(out)
+        doc["surface"] = {"family": "plane", "params": {"b_dir": [1.0, 1e-9, 0.0, 0.0]},
+                          "nu": 16, "nv": 16}
+        assert main(["run", _write(tmp_path / "degen.json", doc)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"error": "stop-reason", "message": "degenerate-grid"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "degenerate-grid"
+        assert summary["n_records"] == 0
+        assert summary["series_summary"] is None
 
     def test_uncalibratable_monitor_fails_before_the_flow(self, tmp_path, monkeypatch):
         # 4 max h of this three-chart 32x16 grid exceeds the injectivity cap
@@ -346,6 +368,32 @@ class TestDensityCommand:
         assert main(["density", str(run_dir)]) == 0
         with open(run_dir / "density_report.csv") as fh:
             assert list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(format="kflow-grid/9"),
+            # a flat-T4 torus snapshot without offsets, as written before lifts
+            lambda d: d.pop("period_offsets"),
+        ],
+        ids=["unknown-format", "t4-torus-without-offsets"],
+    )
+    def test_unreadable_snapshot_exits_1_without_report(self, tmp_path, capsys, mutate):
+        out = tmp_path / "t4"
+        doc = _base_config(out, t_end=0.001)
+        doc["model"] = "flat-T4"
+        doc["surface"] = {"family": "torus-graph", "nu": 16, "nv": 16}
+        assert main(["run", _write(tmp_path / "t4.json", doc)]) == 0
+        snap = out / "snapshots" / "t_1.json"
+        snap_doc = json.loads(snap.read_text())
+        mutate(snap_doc)
+        snap.write_text(json.dumps(snap_doc))
+        capsys.readouterr()
+        assert main(["density", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(snap) in err
+        assert "Traceback" not in err
+        assert not (out / "density_report.csv").exists()
 
     def test_missing_snapshots_fails(self, tmp_path):
         assert main(["density", str(tmp_path / "nope")]) == 1

@@ -227,13 +227,12 @@ def _unblocked_calibrate_r0(grid, eps0, seed=0, n_offsurface=100):
 
 
 def _torus_graph(amplitude=0.3, nu=32, nv=24):
-    """Torus graph with a mixed term, shifted and wrapped by the model, so
-    that distances need the minimum image."""
+    """Torus graph with a mixed term, shifted: its lift spans a whole
+    period in x1 and x2, so distances need the minimum image."""
     grid = build_surface("torus-graph", T4, amplitude=amplitude, nu=nu, nv=nv)
     u, v = grid.coords[..., 0].copy(), grid.coords[..., 1].copy()
     grid.coords[..., 2] += 0.4 * np.sin(u + v)
     grid.coords[..., :2] += (2.0, 2.5)
-    grid.coords = T4.wrap(grid.coords)
     return grid
 
 

@@ -59,10 +59,29 @@ def test_graph_torus_converges_to_flat():
     result = run(grid, FlowConfig(t_end=12.0, converged_H_tol=1e-5))
     assert result.stop_reason == "converged"
     # the limit is the totally geodesic torus x3 = const, x4 = const
-    # (values may straddle the periodic wrap at 0/2pi: shift before measuring)
     for axis in (2, 3):
-        c = np.mod(result.state.grid.coords[..., axis] + np.pi, 2 * np.pi)
-        assert np.ptp(c) < 1e-4
+        assert np.ptp(result.state.grid.coords[..., axis]) < 1e-4
+
+
+def test_torus_graph_flow_does_not_depend_on_the_lattice():
+    """The torus graph closes by 2pi e1 and 2pi e2 on every lattice that
+    contains them, so its flow cannot see the periods, even where three
+    grid cells span more than half a period (2pi/3 at 10x10)."""
+    results = [
+        run(
+            build_surface("torus-graph", get_model("flat-T4", periods=[p] * 4), nu=10, nv=10),
+            FlowConfig(t_end=0.3),
+        )
+        for p in (2 * np.pi, np.pi, 2 * np.pi / 3)
+    ]
+    first = results[0]
+    assert first.stop_reason == "reached-t-end"
+    for other in results[1:]:
+        assert other.stop_reason == first.stop_reason
+        assert other.state.step_index == first.state.step_index
+        assert other.records == first.records
+    with pytest.raises(ValueError, match="do not close"):
+        build_surface("torus-graph", get_model("flat-T4", periods=[3.0] * 4))
 
 
 def test_blowup_flag_near_sphere_extinction():
