@@ -8,6 +8,11 @@ z_k = x_k + i y_k.  Every chart argument is one chart id or an integer array
 of per-point ids that broadcasts against the batch shape, so callers never
 group points by chart.
 
+Every chart decision is the model's.  CP² has one chart rule,
+`FubiniStudyCP2.from_homogeneous`, shared by `exp`, the cp1 builders and
+`recharted`: a point keeps its chart while its coordinates there are within
+`transition_radius`, and otherwise takes its pivot chart.
+
 Sign convention (used by every orientation-sensitive computation in the
 package): omega(U, V) := g(JU, V), so that <U, V> = omega(U, JV) holds
 identically.
@@ -20,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartDomainError, ConfigError, LogDivergenceError
+from .errors import ConfigError, LogDivergenceError
 
 # Complex structure of multiplication by i in coordinates (x1, y1, x2, y2);
 # column k is J applied to the k-th coordinate basis vector.
@@ -32,10 +37,6 @@ J_STANDARD = np.array(
         [0.0, 0.0, 1.0, 0.0],
     ]
 )
-
-# Homogeneous slots of the two affine coordinates of each CP² chart.
-_SLOTS = np.array([[1, 2], [0, 2], [0, 1]])
-
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -84,15 +85,12 @@ class AmbientModel:
 
     # -- chart bookkeeping ------------------------------------------------
 
-    def chart_valid(self, x, chart):
-        """Boolean mask: does x lie in chart's declared validity region?"""
-        raise NotImplementedError
-
     def to_chart(self, x, chart_from, chart_to):
         raise NotImplementedError
 
-    def preferred_chart(self, x, chart):
-        """Canonical (chart, coords) for each point of a batch."""
+    def recharted(self, x, chart):
+        """(coords, charts) of a batch after the model's chart rule; the
+        input itself while no point needs another chart."""
         raise NotImplementedError
 
     # -- contractions ------------------------------------------------------
@@ -129,13 +127,13 @@ class AmbientModel:
 
     # -- geodesics --------------------------------------------------------
 
-    def exp(self, x, chart, v, s):
-        """Batched geodesic exponential: returns (coords, charts)."""
+    def exp(self, x, chart, v):
+        """Batched geodesic exponential at time 1: returns (coords, charts)."""
         raise NotImplementedError
 
     def log(self, p: ChartPoint, q: ChartPoint) -> np.ndarray:
         """Components, in p's chart, of the tangent vector v at p with
-        exp(p, v, 1) = q."""
+        exp(p, v) = q."""
         raise NotImplementedError
 
     def distance(self, x1, chart1, x2, chart2):
@@ -160,15 +158,6 @@ class AmbientModel:
 
     def norm(self, x, v):
         return np.sqrt(self.inner(x, v, v))
-
-    def _require_valid(self, p: ChartPoint):
-        if not (0 <= p.chart_id < self.n_charts):
-            raise ChartDomainError(f"{self.name}: unknown chart {p.chart_id}")
-        if not np.all(self.chart_valid(p.x[None], p.chart_id)):
-            raise ChartDomainError(
-                f"{self.name}: point {p.x} outside validity region of chart "
-                f"{p.chart_id}"
-            )
 
 
 class _FlatModel(AmbientModel):
@@ -206,18 +195,17 @@ class _FlatModel(AmbientModel):
         )
 
     # One chart: points are coordinates in R⁴, to_chart copies, and no node
-    # ever changes chart (flow._reassign_charts skips flat models).
-
-    def chart_valid(self, x, chart):
-        return np.isfinite(np.asarray(x)).all(axis=-1)
+    # ever changes chart.
 
     def to_chart(self, x, chart_from, chart_to):
         return np.asarray(x, dtype=float).copy()
 
-    def exp(self, x, chart, v, s):
+    def recharted(self, x, chart):
+        return x, chart
+
+    def exp(self, x, chart, v):
         x = np.asarray(x, dtype=float)
-        out = x + np.asarray(s)[..., None] * np.asarray(v, dtype=float)
-        return out, np.zeros(x.shape[:-1], dtype=int)
+        return x + np.asarray(v, dtype=float), np.zeros(x.shape[:-1], dtype=int)
 
     def distance(self, x1, chart1, x2, chart2):
         """|x2 - x1| (nearest lattice image on T⁴) from a component-major (4, ...)
@@ -240,7 +228,6 @@ class FlatC2(_FlatModel):
     injectivity_radius_bound = np.inf
 
     def log(self, p, q):
-        self._require_valid(p)
         return q.x - p.x
 
     def random_point(self, rng) -> ChartPoint:
@@ -266,7 +253,6 @@ class FlatT4(_FlatModel):
         return d - np.round(d / self.periods[k]) * self.periods[k]
 
     def log(self, p, q):
-        self._require_valid(p)
         return self.min_image(q.x - p.x)
 
     def random_point(self, rng) -> ChartPoint:
@@ -290,50 +276,66 @@ class FubiniStudyCP2(AmbientModel):
     name = "Fubini-Study-CP2"
     n_charts = 3
     is_flat = False
-    transition_radius = 2.0  # max |z_i| triggering a chart change
-    validity_radius = 2.5  # hard bound of the declared validity region
+    transition_radius = 2.0  # max |z_i| a point keeps its chart up to
     injectivity_radius_bound = 1.5  # conservative; true value is pi/2 here
 
-    def chart_valid(self, x, chart):
-        z = to_complex(x)
-        return np.max(np.abs(z), axis=-1) <= self.validity_radius
-
-    # -- transitions in homogeneous coordinates ---------------------------
+    # -- charts in homogeneous coordinates ---------------------------------
+    #
+    # Chart c holds the points with h_c != 0 as z = (h without slot c) / h_c.
+    # Slots are selected by chart id; SurfaceGrid checks the ids are 0, 1, 2.
 
     @staticmethod
     def _homogeneous(z, chart, pivot=1.0):
         """Insert `pivot` in slot `chart`, filling the others with z in
         order; pivot 0 lifts a velocity."""
-        h = np.full(z.shape[:-1] + (3,), pivot, dtype=complex)
-        np.put_along_axis(h, _SLOTS[np.broadcast_to(chart, z.shape[:-1])], z, axis=-1)
-        return h
+        z1, z2 = z[..., 0], z[..., 1]
+        first, last = np.where(chart == 0, pivot, z1), np.where(chart == 2, pivot, z2)
+        middle = np.where(chart == 1, pivot, np.where(chart == 0, z1, z2))
+        return np.stack([first, middle, last], axis=-1)
 
     @staticmethod
-    def _affine(h, chart):
-        """Complex chart coordinates of homogeneous points; `chart` is one
-        id or an array of per-point ids."""
-        chart = np.broadcast_to(chart, h.shape[:-1])
-        pivot = np.take_along_axis(h, chart[..., None], axis=-1)
-        return np.take_along_axis(h, _SLOTS[chart], axis=-1) / pivot
+    def _split(h, chart):
+        """(pivot slot (..., 1), other two slots (..., 2)) of h in `chart`."""
+        h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
+        pivot = np.where(chart == 0, h0, np.where(chart == 1, h1, h2))
+        rest = np.stack([np.where(chart == 0, h1, h0), np.where(chart == 2, h1, h2)], axis=-1)
+        return pivot[..., None], rest
 
-    @staticmethod
-    def _push_down(h, dh, chart):
+    def _affine(self, h, chart):
+        """Complex chart coordinates of homogeneous points."""
+        pivot, rest = self._split(h, chart)
+        return rest / pivot
+
+    def _push_down(self, h, dh, chart):
         """Chart components of the homogeneous velocity dh at h."""
-        slots = _SLOTS[chart]
-        pivot, dpivot = h[..., chart, None], dh[..., chart, None]
-        return from_complex((dh[..., slots] * pivot - h[..., slots] * dpivot) / pivot**2)
+        pivot, rest = self._split(h, chart)
+        dpivot, drest = self._split(dh, chart)
+        return from_complex((drest * pivot - rest * dpivot) / pivot**2)
+
+    def from_homogeneous(self, h, chart=None):
+        """(coords, charts) of homogeneous points h.  A point stays in
+        `chart` while its coordinates there are within transition_radius;
+        every other point, and every point when no chart is given, goes to
+        its pivot chart (the largest |h_k|, where max|z| <= 1)."""
+        charts = np.argmax(np.abs(h), axis=-1)
+        if chart is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                near = np.max(np.abs(self._affine(h, chart)), axis=-1) <= self.transition_radius
+            charts = np.where(near, chart, charts)
+        return from_complex(self._affine(h, charts)), charts
 
     def to_chart(self, x, chart_from, chart_to):
         h = self._homogeneous(to_complex(x), chart_from)
         with np.errstate(divide="ignore", invalid="ignore"):
             return from_complex(self._affine(h, chart_to))
 
-    def preferred_chart(self, x, chart):
-        """Chart maximizing the homogeneous pivot, i.e. minimizing max|z|."""
-        x = np.asarray(x, dtype=float)
-        h = self._homogeneous(to_complex(x), chart)
-        best = np.argmax(np.abs(h), axis=-1)
-        return best, from_complex(self._affine(h, best))
+    def recharted(self, x, chart):
+        """The input while every coordinate is within transition_radius;
+        otherwise every point moves to its pivot chart."""
+        z = to_complex(x)
+        if np.max(np.abs(z)) <= self.transition_radius:
+            return x, chart
+        return self.from_homogeneous(self._homogeneous(z, chart))
 
     # -- contractions ------------------------------------------------------
     #
@@ -401,19 +403,11 @@ class FubiniStudyCP2(AmbientModel):
 
     # -- geodesics --------------------------------------------------------
 
-    def _project(self, psi, chart):
-        """Chart coordinates and ids of the lines psi: `chart` where every
-        coordinate stays within transition_radius, the pivot chart elsewhere."""
-        charts = np.broadcast_to(chart, psi.shape[:-1]).astype(int)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = ~(np.max(np.abs(self._affine(psi, charts)), axis=-1) <= self.transition_radius)
-        charts[far] = np.argmax(np.abs(psi[far]), axis=-1)
-        return from_complex(self._affine(psi, charts)), charts
-
-    def exp(self, x, chart, v, s):
+    def exp(self, x, chart, v):
         """Batched geodesic exponential.  (x, v) lifts to psi = h/|h| on S⁵
         and the horizontal xi = (dh - psi <dh, psi>)/|h| with |xi| = |v|_g;
-        the great circle cos(s|xi|) psi + sin(s|xi|) xi/|xi| projects back."""
+        the great circle cos|xi| psi + sin|xi| xi/|xi| projects back, to
+        `chart` where the chart rule keeps it there."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         v = np.atleast_2d(np.asarray(v, dtype=float))
         h = self._homogeneous(to_complex(x), chart)
@@ -421,15 +415,13 @@ class FubiniStudyCP2(AmbientModel):
         hn = np.linalg.norm(h, axis=-1, keepdims=True)
         psi = h / hn
         xi = (dh - psi * np.sum(dh * np.conj(psi), axis=-1, keepdims=True)) / hn
-        s = float(s)
-        theta = s * np.linalg.norm(xi, axis=-1, keepdims=True)
-        return self._project(np.cos(theta) * psi + s * np.sinc(theta / np.pi) * xi, chart)
+        theta = np.linalg.norm(xi, axis=-1, keepdims=True)
+        return self.from_homogeneous(np.cos(theta) * psi + np.sinc(theta / np.pi) * xi, chart)
 
     def log(self, p, q):
         """Closed-form inverse of exp: the great circle from psi_p to the
         phase of psi_q nearest it, xi = d (psi_q - cos d psi_p) / sin d,
         pushed down to p's chart."""
-        self._require_valid(p)
         h_p = self._homogeneous(to_complex(p.x), p.chart_id)
         h_q = self._homogeneous(to_complex(q.x), q.chart_id)
         psi_p = h_p / np.linalg.norm(h_p)

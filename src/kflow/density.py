@@ -119,15 +119,13 @@ def _densities(grid: SurfaceGrid, xs, cs, w, r, tau):
     return out
 
 
-def parabolic_density(
-    grid: SurfaceGrid, t: float, query: DensityQuery, geom=None
-) -> float:
+def parabolic_density(grid: SurfaceGrid, t: float, query: DensityQuery) -> float:
     """Quadrature of phi * backward-heat-kernel over the surface state."""
     tau = query.t0 - t
     if tau <= 0:
         raise ValueError(f"query time t0 = {query.t0} must exceed state time t = {t}")
     d = grid.model.distance(grid.coords, grid.chart_ids, query.x0.x, query.x0.chart_id)
-    return float(integrate_scalar(grid, _kernel(d, query.r, tau), geom))
+    return float(integrate_scalar(grid, _kernel(d, query.r, tau)))
 
 
 def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
@@ -162,7 +160,7 @@ def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
         tau = r * r
         best = _densities(grid, all_x, all_c, w, r, tau).max()
         # random ambient centers within r of the surface
-        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None], 1.0)
+        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None])
         return max(best, _densities(grid, off_x, off_c, w, r, tau).max())
 
     ok = lambda r: max_density(r) <= 1.0 + eps0 / 2.0

@@ -8,10 +8,6 @@ class KflowError(Exception):
     """Base class for all package errors."""
 
 
-class ChartDomainError(KflowError):
-    """A point lies outside the validity region of its coordinate chart."""
-
-
 class LogDivergenceError(KflowError):
     """The log map was asked for points at or beyond the injectivity bound."""
 

@@ -1,8 +1,9 @@
 """Mean curvature flow time stepping.
 
 Nodes move by dF/dt = H with classical 4th-order Runge-Kutta in chart
-coordinates.  The step size is cfl_factor * h_res^2 where h_res is the
-resolved grid spacing recomputed from the induced metric every step.
+coordinates, and the model re-charts them after each step
+(`AmbientModel.recharted`).  The step size is cfl_factor * h_res^2, h_res
+being the resolved grid spacing recomputed from the induced metric each step.
 
 Each RK stage evaluates stage 1 of the immersion geometry
 (`compute_mean_curvature`: induced metric, spacings and H).  `run` records
@@ -151,20 +152,6 @@ def _exponential_mode_step(coords, vel, mask, rate, dt):
     coords += np.fft.irfft(upd, n=coords.shape[0], axis=0)
 
 
-def _reassign_charts(grid: SurfaceGrid):
-    """Move nodes whose coordinates grew past the chart transition radius
-    to their preferred chart (curved models only)."""
-    model = grid.model
-    if model.is_flat:
-        return grid
-    z_mod = np.hypot(grid.coords[..., 0], grid.coords[..., 1])
-    z_mod = np.maximum(z_mod, np.hypot(grid.coords[..., 2], grid.coords[..., 3]))
-    if z_mod.max() <= model.transition_radius:
-        return grid
-    grid.chart_ids, grid.coords = model.preferred_chart(grid.coords, grid.chart_ids)
-    return grid
-
-
 def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None) -> FlowState:
     """One RK4 step of dF/dt = H.  `vel` optionally reuses the stage 1
     geometry of state.grid, already computed, for the first RK stage."""
@@ -189,7 +176,7 @@ def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None)
     new = grid.copy()
     new.coords += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     _exponential_mode_step(new.coords, vel.H, mask, rate, dt)
-    _reassign_charts(new)
+    new.coords, new.chart_ids = grid.model.recharted(new.coords, new.chart_ids)
     return FlowState(grid=new, t=state.t + dt, step_index=state.step_index + 1)
 
 

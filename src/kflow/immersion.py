@@ -67,10 +67,15 @@ class SurfaceGrid:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "sphere" and self.nu % 2 != 0:
             raise ValueError("sphere topology needs an even longitude count")
+        n = self.model.n_charts
+        if not np.all((self.chart_ids >= 0) & (self.chart_ids < n)):
+            raise ValueError(f"chart ids must lie in [0, {n}) on {self.model.name}")
         if self.period_offsets is not None:
             self.period_offsets = np.asarray(self.period_offsets, dtype=float)
             if not self.model.is_flat:
                 raise ValueError("period offsets are a flat-model construct")
+            if isinstance(self.model, FlatT4) and np.any(self.model.min_image(self.period_offsets)):
+                raise ValueError("period offsets that are not lattice vectors do not close the grid")
         elif self.topology == "torus" and isinstance(self.model, FlatT4):
             raise ValueError("a torus grid in flat-T4 is a lift to R⁴ and needs period_offsets")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import AmbientModel, FlatC2, FlatT4, FubiniStudyCP2, from_complex
+from .ambient import AmbientModel, FlatC2, FlatT4, FubiniStudyCP2
 from .immersion import SurfaceGrid
 
 
@@ -69,10 +69,8 @@ def torus_graph(
     model: FlatT4, amplitude=0.2, frequencies=(1, 1), nu=32, nv=32
 ) -> SurfaceGrid:
     """F(u, v) = (u, v, eps sin(k1 u), eps cos(k2 v)) in the flat 4-torus, closed
-    by the offsets 2pi e1, 2pi e2; ValueError when they are not lattice vectors."""
-    offsets = 2 * np.pi * np.eye(2, 4)
-    if np.any(model.min_image(offsets) != 0):
-        raise ValueError(f"lattice periods {model.periods.tolist()} do not close a torus graph")
+    by the offsets 2pi e1, 2pi e2; SurfaceGrid raises ValueError when they are
+    not lattice vectors."""
     k1, k2 = frequencies
     uu, vv = _param_grid(nu, nv, "torus")
     coords = np.stack(
@@ -89,7 +87,7 @@ def torus_graph(
         model=model,
         chart_ids=np.zeros((nu, nv), dtype=int),
         coords=coords,
-        period_offsets=offsets,
+        period_offsets=2 * np.pi * np.eye(2, 4),
     )
 
 
@@ -114,12 +112,6 @@ def round_sphere(
         chart_ids=np.zeros((nu, nv), dtype=int),
         coords=coords,
     )
-
-
-def _homogeneous_to_grid(model: FubiniStudyCP2, Z):
-    """Pick the pivot chart per node and produce (chart_ids, coords)."""
-    pivot = np.argmax(np.abs(Z), axis=-1)
-    return pivot, from_complex(model._affine(Z, pivot))
 
 
 def cp1(
@@ -156,7 +148,7 @@ def _cp1_grid(model, line_coeffs, delta, m, nu, nv):
         # |Z0|^2 + |Z1|^2 = 1 on this parametrization
         Z2 = Z2 + delta * Z0 * (Z1 * np.conj(Z0)) ** m
     Z = np.stack([Z0, Z1, Z2], axis=-1)
-    chart_ids, coords = _homogeneous_to_grid(model, Z)
+    coords, chart_ids = model.from_homogeneous(Z)
     return SurfaceGrid(
         topology="sphere", model=model, chart_ids=chart_ids, coords=coords
     )

@@ -94,7 +94,7 @@ def check_exp_log_roundtrip(model):
         p = model.random_point(rng)
         v = rng.normal(size=4)
         v = 0.3 * v / model.norm(p.x, v)
-        xs, cs = model.exp(p.x[None], p.chart_id, v[None], 1.0)
+        xs, cs = model.exp(p.x[None], p.chart_id, v[None])
         q = ChartPoint(int(cs[0]), xs[0])
         w = model.log(p, q)
         worst = max(worst, float(np.linalg.norm(w - v)))

@@ -115,7 +115,7 @@ class TestFubiniStudy:
 
     def test_closed_geodesic_period(self):
         """Geodesics from the origin close up after length pi."""
-        xs, cs = self.cp2.exp(np.zeros((1, 4)), 0, np.array([[1.0, 0, 0, 0]]), np.pi)
+        xs, cs = self.cp2.exp(np.zeros((1, 4)), 0, np.array([[np.pi, 0, 0, 0]]))
         back = self.cp2.distance(xs, int(cs[0]), np.zeros((1, 4)), 0)
         assert float(back[0]) < 1e-8
 
@@ -124,14 +124,14 @@ class TestFubiniStudy:
         p = np.zeros((1, 4))
         v = np.array([[0.6, 0.8, 0.0, 0.0]])  # unit at the origin
         for s in (0.3, 0.9, 1.4):
-            xs, cs = self.cp2.exp(p, 0, v, s)
+            xs, cs = self.cp2.exp(p, 0, s * v)
             d = float(self.cp2.distance(xs, int(cs[0]), p, 0)[0])
             assert abs(d - s) < 1e-8
 
 
 def _exp_point(model, p, v):
-    """exp(p, v, 1) as a ChartPoint."""
-    xs, cs = model.exp(p.x[None], p.chart_id, v[None], 1.0)
+    """exp(p, v) as a ChartPoint."""
+    xs, cs = model.exp(p.x[None], p.chart_id, v[None])
     return ChartPoint(int(cs[0]), xs[0])
 
 
@@ -221,15 +221,49 @@ def test_fs_distance_bounded_by_half_pi(chart, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
-def test_preferred_chart_keeps_point_fixed(seed):
-    """Moving to the preferred chart does not move the underlying point."""
+def test_recharted_keeps_point_fixed(seed):
+    """Re-charting leaves a point within the transition radius as it is and
+    moves any other to its pivot chart, where max|z| <= 1, without moving
+    the underlying point."""
     cp2 = get_model("Fubini-Study-CP2")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.4, 2.4, size=(1, 4))
-    c2, x2 = cp2.preferred_chart(x, 0)
-    d = cp2.distance(x, 0, x2, int(c2[0]))
-    assert float(d[0]) < 1e-7
-    assert np.max(np.abs(to_complex(x2))) <= np.sqrt(2.0) + 1e-9
+    chart = np.zeros(1, dtype=int)
+    x2, c2 = cp2.recharted(x, chart)
+    if np.max(np.abs(to_complex(x))) <= cp2.transition_radius:
+        assert x2 is x and c2 is chart
+        return
+    assert float(cp2.distance(x, 0, x2, c2)[0]) < 1e-7
+    assert np.max(np.abs(to_complex(x2))) <= 1.0 + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_from_homogeneous_chart_rule(seed):
+    """Without a chart every point goes to its pivot chart; with one a point
+    stays in it exactly while its coordinates there are within the
+    transition radius.  Either way the point itself does not move."""
+    cp2 = get_model("Fubini-Study-CP2")
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    x, c = cp2.from_homogeneous(h)
+    assert np.array_equal(c, np.argmax(np.abs(h), axis=-1))
+    assert np.max(np.abs(to_complex(x))) <= 1.0 + 1e-12
+    for chart in range(3):
+        in_chart = cp2.to_chart(x, c, chart)
+        near = np.max(np.abs(to_complex(in_chart)), axis=-1) <= cp2.transition_radius
+        y, cy = cp2.from_homogeneous(h, chart)
+        assert np.array_equal(cy, np.where(near, chart, c))
+        assert np.abs(cp2.distance(x, c, y, cy)).max() < 1e-7
+
+
+@pytest.mark.parametrize("name", ["flat-C2", "flat-T4"])
+def test_flat_models_never_rechart(name):
+    model = get_model(name)
+    x = np.full((3, 4), 1e3)
+    chart = np.zeros(3, dtype=int)
+    x2, c2 = model.recharted(x, chart)
+    assert x2 is x and c2 is chart
 
 
 # -- per-point chart ids ----------------------------------------------------
@@ -269,20 +303,30 @@ class TestPerPointCharts:
         back = self.cp2.to_chart(self.cp2.to_chart(xs, charts, 0), 0, charts)
         assert np.abs(back - xs).max() < 1e-14
 
-    def test_preferred_chart(self):
+    def test_recharted(self):
         _, xs, charts = self._batch(scale=2.4)
-        got_c, got_x = self.cp2.preferred_chart(xs, charts)
-        want_c = self._per_chart(charts, lambda m, c: self.cp2.preferred_chart(xs[m], c)[0])
-        want_x = self._per_chart(charts, lambda m, c: self.cp2.preferred_chart(xs[m], c)[1])
+        got_x, got_c = self.cp2.recharted(xs, charts)
+        want_x = self._per_chart(charts, lambda m, c: self.cp2.recharted(xs[m], c)[0])
+        want_c = self._per_chart(charts, lambda m, c: self.cp2.recharted(xs[m], c)[1])
         assert np.array_equal(got_c, want_c) and np.array_equal(got_x, want_x)
         assert len(np.unique(got_c)) == 3
 
+    def test_from_homogeneous(self):
+        rng, _, charts = self._batch()
+        h = 2.0 * rng.normal(size=(len(charts), 3)) + 2j * rng.normal(size=(len(charts), 3))
+        got_x, got_c = self.cp2.from_homogeneous(h, charts)
+        want_x = self._per_chart(charts, lambda m, c: self.cp2.from_homogeneous(h[m], c)[0])
+        want_c = self._per_chart(charts, lambda m, c: self.cp2.from_homogeneous(h[m], c)[1])
+        assert np.array_equal(got_c, want_c) and np.array_equal(got_x, want_x)
+        kept = got_c == charts
+        assert kept.any() and not kept.all()
+
     def test_exp(self):
         rng, xs, charts = self._batch()
-        v = rng.normal(size=xs.shape)
-        got_x, got_c = self.cp2.exp(xs, charts, v, 0.7)
-        want_x = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m], 0.7)[0])
-        want_c = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m], 0.7)[1])
+        v = 0.7 * rng.normal(size=xs.shape)
+        got_x, got_c = self.cp2.exp(xs, charts, v)
+        want_x = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m])[0])
+        want_c = self._per_chart(charts, lambda m, c: self.cp2.exp(xs[m], c, v[m])[1])
         assert np.array_equal(got_x, want_x) and np.array_equal(got_c, want_c)
 
     def test_norm(self):
@@ -389,7 +433,7 @@ def test_fs_exp_log_roundtrip_across_chart_changes():
         x = rng.uniform(0.0, 1.9) * z / np.max(np.abs(to_complex(z)))
         v = rng.normal(size=4)
         v = rng.uniform(0.05, 1.4) * v / cp2.norm(x, v)
-        xs, cs = cp2.exp(x[None], chart, v[None], 1.0)
+        xs, cs = cp2.exp(x[None], chart, v[None])
         changed += int(cs[0] != chart)
         p = ChartPoint(chart, x)
         w = cp2.log(p, ChartPoint(int(cs[0]), xs[0]))
@@ -419,7 +463,7 @@ def test_fs_exp_matches_rk4_geodesic_ode():
         k4 = rhs(x + dt * k3[0], u + dt * k3[1])
         x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         u = u + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    xs, cs = cp2.exp(x0, 0, v0, 1.0)
+    xs, cs = cp2.exp(x0, 0, v0)
     assert np.all(cs == 0)
     assert np.abs(xs - x).max() <= 1e-8
 

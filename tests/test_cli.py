@@ -375,8 +375,10 @@ class TestDensityCommand:
             lambda d: d.update(format="kflow-grid/9"),
             # a flat-T4 torus snapshot without offsets, as written before lifts
             lambda d: d.pop("period_offsets"),
+            # flat-T4 has one chart
+            lambda d: d["chart_ids"][0].__setitem__(0, 1),
         ],
-        ids=["unknown-format", "t4-torus-without-offsets"],
+        ids=["unknown-format", "t4-torus-without-offsets", "t4-chart-id-1"],
     )
     def test_unreadable_snapshot_exits_1_without_report(self, tmp_path, capsys, mutate):
         out = tmp_path / "t4"

@@ -206,7 +206,7 @@ def _unblocked_calibrate_r0(grid, eps0, seed=0, n_offsurface=100):
     def ok(r):
         tau = r * r
         best = (density._kernel(D_nodes, r, tau) @ w).max()
-        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None], 1.0)
+        off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None])
         best = max(best, _unblocked_densities(grid, off_x, off_c, w, r, tau).max())
         return best <= 1.0 + eps0 / 2.0
 

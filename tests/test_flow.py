@@ -5,7 +5,7 @@ and RK stages."""
 import numpy as np
 import pytest
 
-from kflow.ambient import get_model
+from kflow.ambient import get_model, to_complex
 from kflow.errors import ConfigError
 from kflow.flow import FlowConfig, FlowState, resolved_spacing, run, step
 from kflow.immersion import compute_mean_curvature
@@ -82,6 +82,20 @@ def test_torus_graph_flow_does_not_depend_on_the_lattice():
         assert other.records == first.records
     with pytest.raises(ValueError, match="do not close"):
         build_surface("torus-graph", get_model("flat-T4", periods=[3.0] * 4))
+
+
+def test_step_recharts_nodes_past_the_transition_radius():
+    """A cp1 grid whose chart-0 nodes reach past the transition radius
+    leaves one step with every node in its pivot chart (max|z| <= 1)."""
+    grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=32, nv=16)
+    in0 = CP2.to_chart(grid.coords, grid.chart_ids, 0)
+    move = np.max(np.abs(to_complex(in0)), axis=-1) <= 1.1 * CP2.transition_radius
+    grid.coords[move], grid.chart_ids[move] = in0[move], 0
+    assert np.max(np.abs(to_complex(grid.coords))) > CP2.transition_radius
+    new = step(FlowState(grid=grid), FlowConfig(t_end=1.0)).grid
+    assert np.max(np.abs(to_complex(new.coords))) <= 1.0 + 1e-12
+    assert np.any(new.chart_ids != grid.chart_ids)
+    assert set(np.unique(new.chart_ids)) == {0, 1}
 
 
 def test_blowup_flag_near_sphere_extinction():

@@ -281,12 +281,15 @@ def _snapshot_doc(grid, t=None):
 
 def _snapshot_grids():
     """A flat sphere, a CP² grid on all three charts, and a T⁴ plane with
-    lattice periods and period offsets."""
+    lattice periods, closed by lattice offsets."""
     t4 = FlatT4(periods=(2 * np.pi, 2 * np.pi, 3.0, 3.0))
     grids = [
         build_surface("round-sphere", C2, nu=16, nv=8),
         build_surface("perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=16, nv=8),
-        build_surface("plane", t4, b_dir=(0.0, 1.0, 0.3, 0.0), nu=8, nv=6),
+        build_surface(
+            "plane", t4, a_dir=(2 * np.pi, 0.0, 0.0, 0.0), b_dir=(0.0, 2 * np.pi, 3.0, 0.0),
+            nu=8, nv=6,
+        ),
     ]
     assert set(np.unique(grids[1].chart_ids)) == {0, 1, 2}
     assert grids[2].period_offsets is not None
@@ -300,6 +303,21 @@ def test_save_grid_bytes_are_json_dumps_of_the_document(tmp_path, index, t):
     path = tmp_path / "snap.json"
     save_grid(path, grid, t=t)
     assert path.read_bytes() == json.dumps(_snapshot_doc(grid, t)).encode()
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_surface_grid_rejects_chart_ids_out_of_range(bad):
+    grid = build_surface("cp1", CP2, nu=8, nv=4)
+    chart_ids = grid.chart_ids.copy()
+    chart_ids[0, 0] = bad
+    with pytest.raises(ValueError, match=r"chart ids must lie in \[0, 3\)"):
+        SurfaceGrid(topology="sphere", model=CP2, chart_ids=chart_ids, coords=grid.coords)
+
+
+def test_surface_grid_rejects_t4_offsets_off_the_lattice():
+    t4 = FlatT4(periods=(2 * np.pi, 2 * np.pi, 3.0, 3.0))
+    with pytest.raises(ValueError, match="not lattice vectors"):
+        build_surface("plane", t4, b_dir=(0.0, 1.0, 0.3, 0.0), nu=8, nv=6)
 
 
 def test_snapshot_with_orientation_key_loads(tmp_path):
