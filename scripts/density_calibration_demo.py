@@ -4,9 +4,10 @@
 Three demonstrations on flat-space spheres:
 1. calibrate_r0 on the unit sphere (smooth data: the surface-scale cap is
    the largest admissible radius), its re-verification at doubled
-   resolution, and a 128x64 calibration with its time and peak resident
-   memory (ru_maxrss), which stays small because the density sums run in
-   bounded row blocks.
+   resolution, and the cost of the density sums: a 128x64 flat calibration,
+   a 64x32 perturbed-cp1 calibration in CP² and one monitor snapshot of it,
+   each with its time and the peak resident memory (ru_maxrss) so far,
+   which stays small because the density sums run in bounded row blocks.
 2. Phi -> 1 as the kernel scale shrinks at a fixed cutoff radius, queried
    on the surface.
 3. The extinction-center signal: Phi(tau) = (R^2/tau) e^{-R^2/(4 tau)}
@@ -22,9 +23,20 @@ import numpy as np
 
 from kflow import build_surface, get_model
 from kflow.ambient import ChartPoint
-from kflow.density import DensityQuery, calibrate_r0, parabolic_density
+from kflow.density import DensityQuery, calibrate_r0, monitor_regularity, parabolic_density
 
 C2 = get_model("flat-C2")
+CP2 = get_model("Fubini-Study-CP2")
+
+
+def timed(label, fn):
+    """fn() with its wall time and the process's peak RSS after it."""
+    t0 = time.perf_counter()
+    out = fn()
+    elapsed = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"{label:<34}: {elapsed:6.3f} s, peak RSS {rss_mb:.0f} MB")
+    return out
 
 
 def main():
@@ -35,11 +47,14 @@ def main():
     print(f"calibrated r0 (32x16)  : {r0:.6f}")
     print(f"calibrated r0 (64x32)  : {r0_fine:.6f}  (re-verified at doubled resolution)")
     big = build_surface("round-sphere", C2, radius=1.0, nu=128, nv=64)
-    t0 = time.perf_counter()
-    r0_big = calibrate_r0(big, eps0=0.1)
-    elapsed = time.perf_counter() - t0
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"calibrated r0 (128x64) : {r0_big:.6f}  in {elapsed:.1f} s, peak RSS {rss_mb:.0f} MB")
+    r0_big = timed("calibrate_r0, flat sphere 128x64", lambda: calibrate_r0(big, eps0=0.1))
+    print(f"calibrated r0 (128x64) : {r0_big:.6f}")
+    cp1 = build_surface("perturbed-cp1", CP2, delta=0.05, frequency=2, nu=64, nv=32)
+    r0_cp1 = timed("calibrate_r0, perturbed-cp1 64x32", lambda: calibrate_r0(cp1, eps0=0.1))
+    report = timed(
+        "monitor, one perturbed-cp1 snapshot", lambda: monitor_regularity([(cp1, 0.0)], r0_cp1, 0.1)
+    )
+    print(f"calibrated r0 (cp1)    : {r0_cp1:.6f}, monitor max Phi {report.max_phi:.6f}")
 
     print("\nPhi(r) with fixed cutoff 0.5, kernel scale tau = r^2, on-surface query:")
     x0 = ChartPoint(0, np.array([0.0, 0.0, 1.0, 0.0]))

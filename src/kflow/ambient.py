@@ -139,6 +139,16 @@ class AmbientModel:
     def distance(self, x1, chart1, x2, chart2):
         raise NotImplementedError
 
+    def lift(self, x, chart, origin):
+        """Rows (n, k) of n points for `sq_distances`; the flat models measure
+        coordinates from `origin`, a point near both batches of one call."""
+        raise NotImplementedError
+
+    def sq_distances(self, a, b):
+        """(len(a), len(b)) squared distances of two lifted batches, by one
+        matrix product where the model allows it."""
+        raise NotImplementedError
+
     # -- misc -------------------------------------------------------------
 
     @property
@@ -208,17 +218,14 @@ class _FlatModel(AmbientModel):
         return x + np.asarray(v, dtype=float), np.zeros(x.shape[:-1], dtype=int)
 
     def distance(self, x1, chart1, x2, chart2):
-        """|x2 - x1| (nearest lattice image on T⁴) from a component-major (4, ...)
-        difference, squares summed in np.linalg.norm's order so the bits agree."""
-        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-        min_image = getattr(self, "min_image", None)
-        d = np.empty((4,) + np.broadcast_shapes(x1.shape, x2.shape)[:-1])
-        for k in range(4):
-            np.subtract(x2[..., k], x1[..., k], out=d[k, ...])
-            if min_image is not None:
-                d[k, ...] = min_image(d[k, ...], k)
-        d *= d
-        return np.sqrt(((d[0] + d[1]) + d[2]) + d[3])
+        """|x2 - x1|, to the nearest lattice image on T⁴."""
+        d = np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)
+        if hasattr(self, "min_image"):
+            d = self.min_image(d)
+        return np.linalg.norm(d, axis=-1)
+
+    def lift(self, x, chart, origin):
+        return np.asarray(x, dtype=float) - origin
 
 
 class FlatC2(_FlatModel):
@@ -229,6 +236,18 @@ class FlatC2(_FlatModel):
 
     def log(self, p, q):
         return q.x - p.x
+
+    def lift(self, x, chart, origin):
+        """Rows (y, |y|², 1) of y = x - origin."""
+        y = super().lift(x, chart, origin)
+        return np.concatenate([y, _dot(y, y)[..., None], np.ones_like(y[..., :1])], axis=-1)
+
+    def sq_distances(self, a, b):
+        """|a|² + |b|² - 2 a·b as one product, of the rows (-2y, 1, |y|²) of
+        a with the lifts of b.  It cancels where |y| is large against the
+        distance, hence coordinates from an origin near both batches."""
+        d2 = (a[:, [0, 1, 2, 3, 5, 4]] * [-2.0, -2.0, -2.0, -2.0, 1.0, 1.0]) @ b.T
+        return np.maximum(d2, 0.0, out=d2)
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(-2.0, 2.0, size=4))
@@ -254,6 +273,11 @@ class FlatT4(_FlatModel):
 
     def log(self, p, q):
         return self.min_image(q.x - p.x)
+
+    def sq_distances(self, a, b):
+        """Sum of the squared nearest-image component differences: a product
+        cannot see the lattice."""
+        return sum(self.min_image(np.subtract.outer(a[:, k], b[:, k]), k) ** 2 for k in range(4))
 
     def random_point(self, rng) -> ChartPoint:
         return ChartPoint(0, rng.uniform(0.0, 1.0, size=4) * self.periods)
@@ -282,20 +306,33 @@ class FubiniStudyCP2(AmbientModel):
     # -- charts in homogeneous coordinates ---------------------------------
     #
     # Chart c holds the points with h_c != 0 as z = (h without slot c) / h_c.
-    # Slots are selected by chart id; SurfaceGrid checks the ids are 0, 1, 2.
+    # Slots are selected by chart id, so an id other than 0, 1, 2 would pick
+    # a wrong slot: every id is checked where it enters, in _homogeneous
+    # (source charts) and _split (target charts).
 
     @staticmethod
-    def _homogeneous(z, chart, pivot=1.0):
+    def _checked(chart):
+        """`chart` as an array, once its ids are known to be 0, 1 or 2."""
+        chart = np.asarray(chart)
+        bad = (chart != 0) & (chart != 1) & (chart != 2)
+        if bad.any():
+            raise ValueError(f"CP2 chart ids are 0, 1 or 2, not {np.unique(chart[bad]).tolist()}")
+        return chart
+
+    @classmethod
+    def _homogeneous(cls, z, chart, pivot=1.0):
         """Insert `pivot` in slot `chart`, filling the others with z in
         order; pivot 0 lifts a velocity."""
+        chart = cls._checked(chart)
         z1, z2 = z[..., 0], z[..., 1]
         first, last = np.where(chart == 0, pivot, z1), np.where(chart == 2, pivot, z2)
         middle = np.where(chart == 1, pivot, np.where(chart == 0, z1, z2))
         return np.stack([first, middle, last], axis=-1)
 
-    @staticmethod
-    def _split(h, chart):
+    @classmethod
+    def _split(cls, h, chart):
         """(pivot slot (..., 1), other two slots (..., 2)) of h in `chart`."""
+        chart = cls._checked(chart)
         h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
         pivot = np.where(chart == 0, h0, np.where(chart == 1, h1, h2))
         rest = np.stack([np.where(chart == 0, h1, h0), np.where(chart == 2, h1, h2)], axis=-1)
@@ -445,6 +482,18 @@ class FubiniStudyCP2(AmbientModel):
         n1 = np.linalg.norm(h1, axis=-1)
         n2 = np.linalg.norm(h2, axis=-1)
         return np.arccos(np.clip(inner / (n1 * n2), -1.0, 1.0))
+
+    def lift(self, x, chart, origin):
+        """Unit lifts psi = h/|h| in C³ of the homogeneous coordinates."""
+        h = self._homogeneous(to_complex(np.asarray(x, dtype=float)), chart)
+        return h / np.linalg.norm(h, axis=-1, keepdims=True)
+
+    def sq_distances(self, a, b):
+        """d = arccos min(1, |<psi_a, psi_b>|) from one complex product,
+        conjugating the (usually smaller) batch a."""
+        d = np.abs(a.conj() @ b.T)
+        d = np.arccos(np.minimum(d, 1.0, out=d), out=d)
+        return np.square(d, out=d)
 
     def random_point(self, rng) -> ChartPoint:
         chart = int(rng.integers(0, 3))

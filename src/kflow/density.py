@@ -13,10 +13,13 @@ configured threshold 1 + eps0.
 calibrate_r0 finds the largest kernel radius whose initial density stays
 below 1 + eps0/2 over surface nodes and random near-surface points.
 
-Both calibrate_r0 and the monitor evaluate their density sums over row
-blocks of query centres of bounded size (about 2^18 kernel entries), so
-their memory grows linearly in the number of grid nodes, not as
-queries x nodes.
+Every density sum runs through one evaluator: the grid nodes are lifted
+once per call (measured from their mean, so that the flat product form
+does not cancel far from the origin), each row block of query centres
+(about 2^18 entries) gets its squared distances to every node from one
+`AmbientModel.sq_distances` product, and the kernel is taken on d^2 in
+place, with square roots on the cutoff band alone.  Memory grows linearly
+in the number of grid nodes, not as queries x nodes.
 
 density_derivative_check verifies the identity (flat ambients only, fixed
 kernel scale tau = r^2)
@@ -69,34 +72,27 @@ def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> Dens
 
 def cutoff(s, r):
     """C^2 cutoff: 1 on [0, r], 0 beyond 2r, quintic smoothstep between.
-    The derivative is bounded by (15/8)/r.  The quintic is evaluated only
-    on the transition band; NaN distances give NaN."""
-    s = np.asarray(s, dtype=float)
-    w = np.atleast_1d((s - r) / r)
-    inside = w <= 0.0
-    phi = inside.astype(float)
-    band = ~(inside | (w >= 1.0))  # 0 < w < 1, and NaN
-    wb = w[band]
-    phi[band] = 1.0 - (10.0 * wb**3 - 15.0 * wb**4 + 6.0 * wb**5)
-    return phi.reshape(s.shape)
+    The derivative is bounded by (15/8)/r; NaN distances give NaN.  The
+    density sums pass it the transition band alone."""
+    w = np.clip((np.asarray(s, dtype=float) - r) / r, 0.0, 1.0)
+    return 1.0 - (10.0 * w**3 - 15.0 * w**4 + 6.0 * w**5)
 
 
-def _kernel(d, r, tau):
-    """phi(d) exp(-d^2 / (4 tau)) / (4 pi tau): the backward heat kernel of
-    scale tau with the cutoff of radius r (none when r is None)."""
-    phi = 1.0 if r is None else cutoff(d, r)  # first: fewer arrays live at once
-    return phi * np.exp(-(d**2) / (4.0 * tau)) / (4.0 * np.pi * tau)
-
-
-def _distance_matrix(model: AmbientModel, xs, cs, grid: SurfaceGrid):
-    """Distances from each center (xs[k], cs[k]) to every grid node,
-    shape (len(xs), nu * nv)."""
-    return model.distance(
-        xs[:, None, :],
-        np.asarray(cs)[:, None],
-        grid.coords.reshape(1, -1, 4),
-        grid.chart_ids.reshape(1, -1),
-    )
+def _gaussian_in_place(d2, r, tau):
+    """phi(d) exp(-d^2 / (4 tau)) (no cutoff when r is None) written over the
+    squared distances d2: the masks come first, so no second float array is
+    formed.  A NaN entry is in neither mask and stays NaN."""
+    if r is not None:
+        far = d2 >= 4.0 * r * r
+        band = d2 > r * r
+        band ^= far  # far lies inside d2 > r^2
+        phi = cutoff(np.sqrt(d2[band]), r)
+    d2 *= -0.25 / tau
+    np.exp(d2, out=d2)
+    if r is not None:
+        d2[far] = 0.0
+        d2[band] *= phi
+    return d2
 
 
 # kernel entries per row block of the density sums
@@ -105,17 +101,27 @@ _N_OFFSURFACE = 100  # random calibration centres near the surface
 _MAX_QUERIES_PER_SNAPSHOT = 500  # monitor centres per snapshot
 
 
+def _sq_distance_blocks(grid: SurfaceGrid, xs, cs):
+    """(first row, block) pairs: squared distances from the centres
+    (xs[k], cs[k]) to every grid node, about _BLOCK_ENTRIES per block.
+    Blocks are a multiple of 16 rows, so a gemv that works through rows in
+    groups (as OpenBLAS does) sums every row as one whole-matrix product."""
+    model = grid.model
+    x = grid.coords.reshape(-1, 4)
+    origin = x.mean(axis=0)
+    nodes = model.lift(x, grid.chart_ids.reshape(-1), origin)
+    rows = max(16, _BLOCK_ENTRIES // len(x) // 16 * 16)
+    for i in range(0, len(xs), rows):
+        yield i, model.sq_distances(model.lift(xs[i : i + rows], cs[i : i + rows], origin), nodes)
+
+
 def _densities(grid: SurfaceGrid, xs, cs, w, r, tau):
     """Kernel quadrature sum_j K(d(center_k, node_j)) w[j] for each center
-    (xs[k], cs[k]), in blocks of about _BLOCK_ENTRIES kernel entries, so no
-    (len(xs), nodes) array is formed.  Blocks are a multiple of 16 rows, so
-    a gemv that works through rows in groups (as OpenBLAS does) sums every
-    row exactly as in one whole-matrix product."""
-    rows = max(16, _BLOCK_ENTRIES // w.size // 16 * 16)
+    (xs[k], cs[k]), block by block."""
     out = np.empty(len(xs))
-    for i in range(0, len(xs), rows):
-        d = _distance_matrix(grid.model, xs[i : i + rows], cs[i : i + rows], grid)
-        out[i : i + rows] = _kernel(d, r, tau) @ w
+    for i, d2 in _sq_distance_blocks(grid, xs, cs):
+        out[i : i + len(d2)] = _gaussian_in_place(d2, r, tau) @ w
+    out *= 1.0 / (4.0 * np.pi * tau)
     return out
 
 
@@ -124,8 +130,8 @@ def parabolic_density(grid: SurfaceGrid, t: float, query: DensityQuery) -> float
     tau = query.t0 - t
     if tau <= 0:
         raise ValueError(f"query time t0 = {query.t0} must exceed state time t = {t}")
-    d = grid.model.distance(grid.coords, grid.chart_ids, query.x0.x, query.x0.chart_id)
-    return float(integrate_scalar(grid, _kernel(d, query.r, tau)))
+    w = quadrature_weights(grid).reshape(-1)
+    return float(_densities(grid, query.x0.x[None], [query.x0.chart_id], w, query.r, tau)[0])
 
 
 def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
@@ -256,33 +262,33 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
         )
     r = query.r
     tau = r * r
-    dp, dm, dn = (
-        model.distance(g.coords, g.chart_ids, query.x0.x, query.x0.chart_id)
-        for g in (gp, gm, gn)
+    x0, c0 = query.x0.x[None], [query.x0.chart_id]
+    phi_p, phi_n = (
+        _densities(g, x0, c0, quadrature_weights(g).reshape(-1), r, tau)[0] for g in (gp, gn)
     )
     stage1 = compute_mean_curvature(gm)
-    kernel = _kernel(dm, r, tau)
+    w = quadrature_weights(gm, stage1).reshape(-1) / (4.0 * np.pi * tau)
+    _, d2 = next(_sq_distance_blocks(gm, x0, c0))
+    dm = np.sqrt(d2[0])
+    heat = _gaussian_in_place(d2[0].copy(), None, tau)
+    kernel = _gaussian_in_place(d2[0], r, tau)
     h1, h2 = tm - tp, tn - tm
     dphi_dt = (
-        -h2 / (h1 * (h1 + h2)) * integrate_scalar(gp, _kernel(dp, r, tau))
-        + (h2 - h1) / (h1 * h2) * integrate_scalar(gm, kernel, stage1)
-        + h1 / (h2 * (h1 + h2)) * integrate_scalar(gn, _kernel(dn, r, tau))
+        -h2 / (h1 * (h1 + h2)) * phi_p
+        + (h2 - h1) / (h1 * h2) * (kernel @ w)
+        + h1 / (h2 * (h1 + h2)) * phi_n
     )
-    H = stage1.H
-    rel = gm.coords - query.x0.x  # position relative to X0 (flat chart)
+    H = stage1.H.reshape(-1, 4)
+    rel = gm.coords.reshape(-1, 4) - query.x0.x  # position relative to X0 (flat chart)
     if hasattr(model, "min_image"):
         rel = model.min_image(rel)
     FH = np.einsum("...a,...a->...", rel, H)
     H2 = np.einsum("...a,...a->...", H, H)
     # grad(phi) . H = phi'(|F|) <F - X0, H> / |F|
-    w = np.clip((dm - r) / r, 0.0, 1.0)
-    dphi = -(30.0 * w**2 - 60.0 * w**3 + 30.0 * w**4) / r
+    u = np.clip((dm - r) / r, 0.0, 1.0)
+    dphi = -(30.0 * u**2 - 60.0 * u**3 + 30.0 * u**4) / r
     with np.errstate(invalid="ignore", divide="ignore"):
         grad_term = np.where(dm > 0, dphi * FH / np.where(dm > 0, dm, 1.0), 0.0)
     # phi exp(-|F|^2 / (4 tau)) / (8 pi tau^2) = kernel / (2 tau)
-    rhs = (
-        integrate_scalar(gm, grad_term * _kernel(dm, None, tau), stage1)
-        - integrate_scalar(gm, kernel / (2.0 * tau) * FH, stage1)
-        - integrate_scalar(gm, kernel * H2, stage1)
-    )
+    rhs = (grad_term * heat - kernel / (2.0 * tau) * FH - kernel * H2) @ w
     return float(dphi_dt - rhs)
