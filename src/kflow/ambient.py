@@ -50,8 +50,13 @@ class ChartPoint:
 
 
 def apply_J(v):
-    """J v for components v on the last axis (multiplication by i)."""
-    return np.asarray(v) @ J_STANDARD.T
+    """J v for components v on the last axis (multiplication by i): the
+    signed swap (x1, y1, x2, y2) -> (-y1, x1, -y2, x2)."""
+    v = np.asarray(v)
+    out = np.empty(v.shape, np.result_type(v, 1.0))
+    np.negative(v[..., 1::2], out=out[..., 0::2])
+    out[..., 1::2] = v[..., 0::2]
+    return out
 
 
 def _dot(u, w):

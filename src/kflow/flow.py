@@ -64,6 +64,11 @@ class FlowConfig:
             raise ConfigError("cfl_factor must lie in (0, 0.5]")
         if self.snapshot_stride < 1 or self.diagnostics_stride < 1:
             raise ConfigError("strides must be >= 1")
+        # a NaN or negative tolerance never converges; a threshold <= 0 flags t = 0
+        if not 0.0 <= self.converged_H_tol < np.inf:
+            raise ConfigError("converged_H_tol must be finite and >= 0")
+        if self.blowup_threshold is not None and not 0.0 < self.blowup_threshold < np.inf:
+            raise ConfigError("blowup_threshold must be finite and positive")
 
 
 @dataclass

@@ -4,12 +4,18 @@ A surface is a logically rectangular nu x nv grid of chart points.  Torus
 topology is doubly periodic on [0, 2pi)^2; sphere topology uses a staggered
 latitude-longitude grid, v_j = (j + 1/2) pi / nv, with ghost values across
 the poles obtained by the half-period longitude shift.  All derivatives are
-6th-order (7-point) central differences, taken by slicing the coordinates
-padded once with 3 ghost nodes on each side (pole reflection plus a
-half-turn in u on spheres, periodic or quasi-periodic on tori).  On curved
-models the coordinates are first lifted into every chart that occurs, and
-each node differences the lift into its own chart, so grids may span
-several charts.
+6th-order (7-point) central differences on the coordinates padded once with
+3 ghost nodes on each side (pole reflection plus a half-turn in u on
+spheres, periodic or quasi-periodic on tori).  A stencil is one einsum of
+its 7 coefficients, the grid spacing folded in, with a read-only strided
+view of the padded array whose row k is the neighbour at offset k - 3
+along u or v (`_taps`), so no shifted copy of the grid is made.
+`grid_partials` makes three per lift: [D1; D2] along u gives Fu and Fuu;
+D1 along v over every padded row gives V, whose node rows are Fv and whose
+u-taps give Fuv (the mixed stencil is separable); D2 along v gives Fvv.
+`field_deriv` uses the same views.  On curved models the coordinates are
+first lifted into every chart that occurs, and each node differences the
+lift into its own chart, so grids may span several charts.
 
 Flat models additionally support quasi-periodic grids (period_offsets): the
 surface closes up to a fixed ambient translation per parameter period.  This
@@ -48,6 +54,7 @@ TWO_PI = 2.0 * np.pi
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _OFFS = (-3, -2, -1, 0, 1, 2, 3)
+_G = 3  # ghost width: the half-width of the 7-point stencils
 
 
 @dataclass
@@ -67,6 +74,8 @@ class SurfaceGrid:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "sphere" and self.nu % 2 != 0:
             raise ValueError("sphere topology needs an even longitude count")
+        if self.topology == "sphere" and self.nv < _G:
+            raise ValueError(f"sphere topology needs at least {_G} latitude rows")
         n = self.model.n_charts
         if not np.all((self.chart_ids >= 0) & (self.chart_ids < n)):
             raise ValueError(f"chart ids must lie in [0, {n}) on {self.model.name}")
@@ -107,123 +116,89 @@ class SurfaceGrid:
         )
 
 
-_G = 3  # ghost width: the half-width of the 7-point stencils
-
-
 def _pad(grid: SurfaceGrid, x, parity=1, offsets=None):
-    """Nodal array (nu, nv, ...) with ghost nodes: _G on each side in v and
-    _G + 1 in u (the extra one keeps every block of `_shifted` in range).
+    """Nodal array (nu, nv, ...) with _G ghost nodes on each side of both
+    axes, the v ghosts filled first.
 
     Sphere ghosts in v reflect across the pole with a half-turn in u and are
     multiplied by `parity`; torus ghosts are periodic.  `offsets` (2, 4)
     shift the ghosts of a quasi-periodic grid, the u offset first.
     """
     nu, nv, g = grid.nu, grid.nv, _G
-    if grid.topology == "sphere":
-        turned = parity * np.roll(x, nu // 2, axis=0)
-        x = np.concatenate([turned[:, g - 1 :: -1], x, turned[:, : -g - 1 : -1]], axis=1)
-    i = np.arange(-g - 1, nu + g + 1)
-    x = x[i % nu]
-    if offsets is not None:
-        x = x + (i // nu)[:, None, None] * offsets[0]
-    if grid.topology == "torus":
-        j = np.arange(-g, nv + g)
-        x = x[:, j % nv]
-        if offsets is not None:
-            x = x + (j // nv)[:, None] * offsets[1]
-    return x
+    shift = lambda k, n, axis: 0.0 if offsets is None else (k // n) * offsets[axis]
+    P = np.empty((nu + 2 * g, nv + 2 * g) + x.shape[2:])
+    P[g:-g, g:-g] = x
+    for j in (*range(-g, 0), *range(nv, nv + g)):
+        if grid.topology == "sphere":
+            P[g:-g, g + j] = parity * np.roll(x[:, -1 - j if j < 0 else 2 * nv - 1 - j], nu // 2, axis=0)
+        else:
+            P[g:-g, g + j] = x[:, j % nv] + shift(j, nv, 1)
+    for i in (*range(-g, 0), *range(nu, nu + g)):
+        P[g + i] = P[g + i % nu] + shift(i, nu, 0)
+    return P
 
 
-def _shifted(P, nu):
-    """nb(a, b): the padded array P at the logical neighbour (i + a, j + b)
-    of every node, as one contiguous block of the flattened P.  A block
-    also holds entries for the ghost positions in v; `_nodes` drops them."""
-    width = P.shape[1]
-    flat = P.reshape((-1,) + P.shape[2:])
-
-    def nb(a, b):
-        start = (_G + 1 + a) * width + b
-        return flat[start : start + nu * width]
-
-    return nb
-
-
-def _nodes(block, nu):
-    """The (nu, nv, ...) node values of a block of `_shifted`."""
-    width = len(block) // nu
-    return block.reshape((nu, width) + block.shape[1:])[:, _G : width - _G]
-
-
-def _weighted(pairs):
-    """Sum of c * x over the (c, x) pairs with c != 0, added in order."""
-    out = term = None
-    for c, x in pairs:
-        if c != 0.0:
-            if out is None:
-                out, term = np.zeros_like(x), np.empty_like(x)
-            out += np.multiply(x, c, out=term)
-    return out
+def _taps(a, axis):
+    """Read-only (7, rows, m) strided view of the padded array `a` whose
+    row k holds, at every centre, `a` at offset k - 3 along `axis`: the tap
+    stride is one padded row along u (axis 0) and one node along v (axis
+    1).  The centres are the entries at least _G from both ends of `axis`,
+    so the last tap ends on the last entry of `a`; the columns and
+    components of a row, which must be contiguous, are merged into m."""
+    shape = list(a.shape)
+    shape[axis] -= 2 * _G
+    if shape[axis] < 1:
+        raise IndexError(f"stencil taps need more than {2 * _G} entries along axis {axis}, not {a.shape[axis]}")
+    if not a[0].flags.c_contiguous:
+        raise ValueError("the rows of a tapped array must be contiguous")
+    m = int(np.prod(shape[1:]))
+    return np.lib.stride_tricks.as_strided(
+        a, (7, shape[0], m), (a.strides[axis], a.strides[0], a.itemsize), writeable=False
+    )
 
 
-def _padded_lifts(grid: SurfaceGrid):
-    """(mask of the nodes in chart c, every node lifted into chart c and
-    padded) for each chart c that occurs; the mask is None on a
-    single-chart grid.  Lift entries far from every node of chart c may be
-    non-finite: only the nodes of chart c take values from that lift, and
-    their stencils never reach such entries."""
-    charts = grid.chart_ids
-    present = np.flatnonzero(np.bincount(charts.ravel()))
-    if len(present) == 1:
-        return [(None, _pad(grid, grid.coords, offsets=grid.period_offsets))]
-    to_chart = grid.model.to_chart
-    return [(charts == c, _pad(grid, to_chart(grid.coords, charts, c))) for c in present]
-
-
-def _stencil_sums(grid: SurfaceGrid):
-    """Unscaled stencil sums (Fu, Fv, Fuu, Fuv, Fvv) over the blocks
-    nb(a, b) of `_shifted` on each padded lift; every node takes the values
-    computed in its own chart.  Flat grids, flat-T4 ones included, have one
-    lift, whose ghosts carry the period offsets."""
-    out = None
-    with np.errstate(invalid="ignore", over="ignore"):
-        for mask, P in _padded_lifts(grid):
-            nb = _shifted(P, grid.nu)
-            along_u = [nb(off, 0) for off in _OFFS]
-            along_v = [nb(0, off) for off in _OFFS]
-            mixed = (
-                (ca * cb, nb(a, b))
-                for a, ca in zip(_OFFS, _D1)
-                for b, cb in zip(_OFFS, _D1)
-                if ca != 0.0 and cb != 0.0
-            )
-            sums = (zip(_D1, along_u), zip(_D1, along_v), zip(_D2, along_u), mixed,
-                    zip(_D2, along_v))
-            vals = tuple(_nodes(_weighted(pairs), grid.nu) for pairs in sums)
-            out = vals if out is None else tuple(
-                np.where(mask[..., None], v, o) for v, o in zip(vals, out)
-            )
-    return out
+def _lift_partials(P, du, dv):
+    """(Fu, Fv, Fuu, Fuv, Fvv) at the nodes of one padded lift P, by the
+    three contractions of the module docstring."""
+    g = _G
+    nodes = (P.shape[0] - 2 * g, P.shape[1] - 2 * g) + P.shape[2:]
+    Fu, Fuu = np.einsum("dk,kij->dij", np.stack([_D1 / du, _D2 / du**2]), _taps(P[:, g:-g], 0))
+    V = np.einsum("k,kij->ij", _D1 / dv, _taps(P, 1))  # every padded row
+    Fvv = np.einsum("k,kij->ij", _D2 / dv**2, _taps(P[g:-g], 1))
+    Fuv = np.einsum("k,kij->ij", _D1 / du, _taps(V, 0))
+    return tuple(F.reshape(nodes) for F in (Fu, V[g:-g], Fuu, Fuv, Fvv))
 
 
 def grid_partials(grid: SurfaceGrid):
     """First and second parameter derivatives (Fu, Fv, Fuu, Fuv, Fvv) of F
-    at every node."""
-    # The lifts are freed before the scaled arrays are allocated: scaling
-    # inside the loop of `_stencil_sums` raised the peak RSS of a flat
-    # 128x64 run by about 0.4 MB.
-    du, dv = grid.du, grid.dv
-    Fu, Fv, Fuu, Fuv, Fvv = _stencil_sums(grid)
-    return Fu / du, Fv / dv, Fuu / du**2, Fuv / (du * dv), Fvv / dv**2
+    at every node, each node differenced in its own chart.  The grid is
+    lifted into every chart that occurs; lift entries far from every node
+    of the chart may be non-finite, but the stencils of its nodes never
+    reach them.  Flat grids, flat-T4 ones included, have one lift, whose
+    ghosts carry the period offsets."""
+    charts = grid.chart_ids
+    present = np.flatnonzero(np.bincount(charts.ravel()))
+    out = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for c in present:
+            x = grid.coords if len(present) == 1 else grid.model.to_chart(grid.coords, charts, c)
+            vals = _lift_partials(_pad(grid, x, offsets=grid.period_offsets), grid.du, grid.dv)
+            if out is None:
+                out = vals
+            else:
+                for o, v in zip(out, vals):
+                    np.copyto(o, v, where=(charts == c)[..., None])
+    return out
 
 
 def field_deriv(grid: SurfaceGrid, f, axis, pole_parity=1):
     """6th-order (7-point) derivative of a scalar field wrt the parameter on
     `axis`.  pole_parity = -1 flips the sign of the ghost values reflected
     across a pole (v-components of vector densities on sphere grids)."""
+    P = _pad(grid, np.asarray(f, dtype=float), parity=pole_parity)
+    nodes = P[:, _G:-_G] if axis == 0 else P[_G:-_G]
     h = grid.du if axis == 0 else grid.dv
-    nb = _shifted(_pad(grid, np.asarray(f, dtype=float), parity=pole_parity), grid.nu)
-    shifted = [nb(off, 0) if axis == 0 else nb(0, off) for off in _OFFS]
-    return _nodes(_weighted(zip(_D1, shifted)), grid.nu) / h
+    return np.einsum("k,kij->ij", _D1 / h, _taps(nodes, axis))
 
 
 # Smallest admissible length of a frame vector before normalization, and of
@@ -322,8 +297,9 @@ def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
     i22 = g11 / det
     i12 = -g12 / det
     T = (Fuu, Fuv, Fvv)  # formed in place: the second partials are not kept
-    for F2, a, b in zip(T, (Fu, Fu, Fv), (Fu, Fv, Fv)):
-        F2 += model.connection(x, a, b)
+    if not model.is_flat:  # Gamma = 0
+        for F2, a, b in zip(T, (Fu, Fu, Fv), (Fu, Fv, Fv)):
+            F2 += model.connection(x, a, b)
     Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
     pu = model.inner(x, Htr, Fu)
     pv = model.inner(x, Htr, Fv)

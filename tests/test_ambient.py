@@ -9,6 +9,7 @@ from kflow.ambient import (
     ChartPoint,
     FlatT4,
     J_STANDARD,
+    apply_J,
     get_model,
     to_complex,
     from_complex,
@@ -30,6 +31,18 @@ def _points(model, n=25, seed=0):
 
 def test_J_squared_is_minus_identity():
     assert np.allclose(J_STANDARD @ J_STANDARD, -np.eye(4))
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (3, 2, 4)])
+def test_apply_J_is_the_matrix_J(shape):
+    """The signed swap equals v @ J^T for finite v, up to the sign of
+    zero (a swapped -0.0 where the matrix product sums to +0.0)."""
+    v = np.random.default_rng(2).normal(size=shape)
+    v[..., 1] = 0.0
+    got, want = apply_J(v), v @ J_STANDARD.T
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(apply_J([1, 2, 3, 4]), [-2.0, 1.0, -4.0, 3.0])
+    assert np.array_equal(apply_J(apply_J(v)), -v)
 
 
 def test_complex_coordinate_roundtrip():

@@ -228,9 +228,13 @@ class TestRunCommand:
             lambda d: d["flow"].update(snapshot_stride="5"),
             # a negative radius would give a kernel without a cutoff
             lambda d: d.update(density={"r0": -0.5}),
+            # a run that can never converge, and one flagged at t = 0
+            lambda d: d["flow"].update(converged_H_tol=-1.0),
+            lambda d: d["flow"].update(converged_H_tol=float("nan")),
+            lambda d: d["flow"].update(blowup_threshold=-5.0),
         ],
         ids=["odd-nu-sphere", "zero-period", "lattice-cannot-close", "string-stride",
-             "negative-r0"],
+             "negative-r0", "negative-H-tol", "nan-H-tol", "negative-blowup"],
     )
     def test_bad_values_exit_1_with_config_error(self, tmp_path, capsys, mutate):
         out = tmp_path / "bad-run"

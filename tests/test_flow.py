@@ -23,6 +23,14 @@ def test_flow_config_validation():
         FlowConfig(t_end=1.0, cfl_factor=0.9)
     with pytest.raises(ConfigError):
         FlowConfig(t_end=1.0, snapshot_stride=0)
+    # a tolerance the run can never meet, a threshold every state exceeds
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="converged_H_tol"):
+            FlowConfig(t_end=1.0, converged_H_tol=bad)
+    for bad in (-5.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="blowup_threshold"):
+            FlowConfig(t_end=1.0, blowup_threshold=bad)
+    FlowConfig(t_end=1.0, converged_H_tol=0.0, blowup_threshold=1e6)
 
 
 def test_holomorphic_plane_is_stationary():

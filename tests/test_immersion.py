@@ -16,6 +16,7 @@ from kflow.immersion import (
     _OFFS,
     SNAPSHOT_FORMAT,
     SurfaceGrid,
+    _taps,
     compute_geometry,
     compute_mean_curvature,
     field_deriv,
@@ -451,43 +452,42 @@ def gather_neighbor_scalar(grid: SurfaceGrid, f, a, b, pole_parity=1):
 
 
 def gathered_partials(grid: SurfaceGrid):
-    """The former `grid_partials`: 48 neighbour gathers per call."""
+    """The former `grid_partials`: 48 neighbour gathers per call.  Returns
+    the five partials and, for each, its number of terms and the sum of
+    |c| |x| over them (scaled like the partial), for `_assert_rounding`."""
     du, dv = grid.du, grid.dv
     shape = grid.coords.shape
-    Fu = np.zeros(shape)
-    Fv = np.zeros(shape)
-    Fuu = np.zeros(shape)
-    Fvv = np.zeros(shape)
-    Fuv = np.zeros(shape)
+    sums = [np.zeros(shape) for _ in range(5)]  # Fu, Fv, Fuu, Fuv, Fvv
+    mags = [np.zeros(shape) for _ in range(5)]
+
+    def add(k, c, x):
+        sums[k] += c * x
+        mags[k] += abs(c) * np.abs(x)
+
     for off, c1, c2 in zip(_OFFS, _D1, _D2):
-        if off == 0:
-            nb = grid.coords
-        else:
-            nb = gather_neighbor_coords(grid, off, 0)
+        nb = grid.coords if off == 0 else gather_neighbor_coords(grid, off, 0)
         if c1 != 0.0:
-            Fu += c1 * nb
-        Fuu += c2 * nb
-        if off == 0:
-            nb = grid.coords
-        else:
-            nb = gather_neighbor_coords(grid, 0, off)
+            add(0, c1, nb)
+        add(2, c2, nb)
+        nb = grid.coords if off == 0 else gather_neighbor_coords(grid, 0, off)
         if c1 != 0.0:
-            Fv += c1 * nb
-        Fvv += c2 * nb
+            add(1, c1, nb)
+        add(4, c2, nb)
     for oa, ca in zip(_OFFS, _D1):
-        if ca == 0.0:
-            continue
         for ob, cb in zip(_OFFS, _D1):
-            if cb == 0.0:
-                continue
-            Fuv += ca * cb * gather_neighbor_coords(grid, oa, ob)
-    return (
-        Fu / du,
-        Fv / dv,
-        Fuu / du**2,
-        Fuv / (du * dv),
-        Fvv / dv**2,
-    )
+            if ca != 0.0 and cb != 0.0:
+                add(3, ca * cb, gather_neighbor_coords(grid, oa, ob))
+    scales = (du, dv, du**2, du * dv, dv**2)
+    terms = (6, 6, 7, 36, 7)
+    return [(s / h, n, m / h) for s, n, m, h in zip(sums, terms, mags, scales)]
+
+
+def _assert_rounding(got, want, n, mag, name):
+    """|got - want| <= 4 n eps sum|c||x| at every entry: the two differ
+    only in the order and grouping of the n products of a stencil sum."""
+    assert np.isfinite(got).all(), name
+    bound = 4 * n * np.finfo(float).eps * mag
+    assert np.all(np.abs(got - want) <= bound), (name, np.max(np.abs(got - want) - bound))
 
 
 def _shifted_torus(nu=32, nv=24):
@@ -513,6 +513,24 @@ def _bumped_plane():
     return grid
 
 
+def _small_t4_torus(n):
+    """An n x n torus in T⁴ with random nodes: every stencil wraps the
+    grid, twice when n = 2, and its ghosts carry the lattice offsets."""
+    model = FlatT4(periods=(2.0, 3.0, 2.5, 4.0))
+    rng = np.random.default_rng(n)
+    offsets = np.array([[2.0, 0.0, 2.5, 0.0], [0.0, -3.0, 0.0, 4.0]])
+    return SurfaceGrid("torus", model, np.zeros((n, n), dtype=int),
+                       rng.normal(size=(n, n, 4)), period_offsets=offsets)
+
+
+def _small_sphere():
+    """The smallest sphere grid the stencils support: 4 x 3, every ghost
+    column reflected across a pole, perturbed off the round sphere."""
+    grid = build_surface("round-sphere", C2, radius=0.8, nu=4, nv=3)
+    grid.coords += 0.05 * np.random.default_rng(7).normal(size=grid.coords.shape)
+    return grid
+
+
 _ORACLE_GRIDS = {
     "plane": _bumped_plane,
     "torus-graph": _shifted_torus,
@@ -523,6 +541,9 @@ _ORACLE_GRIDS = {
     "perturbed-cp1": lambda: build_surface(
         "perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=32, nv=16
     ),
+    "sphere-4x3": _small_sphere,
+    "t4-2x2": lambda: _small_t4_torus(2),
+    "t4-4x4": lambda: _small_t4_torus(4),
 }
 
 
@@ -531,24 +552,46 @@ def test_sliced_partials_match_gathered_oracle(family):
     grid = _ORACLE_GRIDS[family]()
     if family == "perturbed-cp1":
         assert len(np.unique(grid.chart_ids)) == 3
-    want = gathered_partials(grid)
     got = grid_partials(grid)
-    for name, w, g in zip(("Fu", "Fv", "Fuu", "Fuv", "Fvv"), want, got):
-        assert np.isfinite(g).all(), name
-        assert np.array_equal(g, w), name
+    for name, g, (want, n, mag) in zip(("Fu", "Fv", "Fuu", "Fuv", "Fvv"), got, gathered_partials(grid)):
+        _assert_rounding(g, want, n, mag, name)
 
 
-@pytest.mark.parametrize("family", ["round-sphere", "torus-graph"])
-@pytest.mark.parametrize("axis, parity", [(0, 1), (1, 1), (1, -1)])
+@pytest.mark.parametrize("family", ["round-sphere", "torus-graph", "sphere-4x3", "t4-2x2", "t4-4x4"])
+@pytest.mark.parametrize("axis, parity", [(0, 1), (1, 1), (0, -1), (1, -1)])
 def test_field_deriv_matches_gathered_oracle(family, axis, parity):
     grid = _ORACLE_GRIDS[family]()
     f = np.random.default_rng(3).normal(size=(grid.nu, grid.nv))
-    want = np.zeros_like(f)
+    want, mag = np.zeros_like(f), np.zeros_like(f)
     for off, c in zip(_OFFS, _D1):
         if c == 0.0:
             continue
         a, b = (off, 0) if axis == 0 else (0, off)
-        want += c * gather_neighbor_scalar(grid, f, a, b, parity)
-    want /= grid.du if axis == 0 else grid.dv
-    assert np.array_equal(field_deriv(grid, f, axis, pole_parity=parity), want)
+        x = gather_neighbor_scalar(grid, f, a, b, parity)
+        want += c * x
+        mag += abs(c) * np.abs(x)
+    h = grid.du if axis == 0 else grid.dv
+    _assert_rounding(field_deriv(grid, f, axis, pole_parity=parity), want / h, 6, mag / h, "df")
 
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencil_taps_are_shifted_views_inside_their_buffer(axis):
+    """Tap k is the array shifted by k along the axis, also on a strided
+    slice, whose neighbours outside the slice are never read."""
+    padded = np.random.default_rng(0).normal(size=(10, 12, 2))
+    a = padded[:, 3:-3] if axis == 0 else padded[2:-1]
+    taps = _taps(a, axis)
+    n = a.shape[axis] - 6
+    for k in range(7):
+        shifted = np.take(a, np.arange(k, k + n), axis=axis)
+        assert np.array_equal(taps[k], shifted.reshape(len(shifted), -1))
+    assert not taps.flags.writeable
+    with pytest.raises(IndexError):
+        _taps(np.take(a, np.arange(6), axis=axis), axis)  # no centre: tap 6 would leave it
+    with pytest.raises(ValueError, match="contiguous"):
+        _taps(padded[:, :, ::2], axis)
+
+
+def test_sphere_grid_needs_three_latitude_rows():
+    with pytest.raises(ValueError, match="latitude rows"):
+        build_surface("round-sphere", C2, nu=4, nv=2)
