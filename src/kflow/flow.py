@@ -129,15 +129,17 @@ def _zonal_filter(grid: SurfaceGrid, vel: MeanCurvature, dt: float):
 
 
 def _apply_mask(vel, mask):
+    """vel without the rfft modes the mask drops, and vel's rfft along u
+    (None without a mask), which the exponential step reuses."""
     if mask is None:
-        return vel
+        return vel, None
     vf = np.fft.rfft(vel, axis=0)
-    vf *= mask[:, :, None]
-    return np.fft.irfft(vf, n=vel.shape[0], axis=0)
+    return np.fft.irfft(vf * mask[:, :, None], n=vel.shape[0], axis=0), vf
 
 
-def _exponential_mode_step(coords, vel, mask, rate, dt):
-    """Exponential-Euler update for the velocity modes dropped by the mask.
+def _exponential_mode_step(coords, vf, mask, rate, dt):
+    """Exponential-Euler update for the velocity modes dropped by the mask;
+    vf is the velocity's rfft along u.
 
     The dropped azimuthal modes are too stiff for the explicit RK4 stage at
     this dt; freezing them would leave any initial polar displacement (and
@@ -151,7 +153,6 @@ def _exponential_mode_step(coords, vel, mask, rate, dt):
     dropped = ~mask
     z = rate[dropped] * dt
     phi1 = np.where(z > 1e-12, -np.expm1(-z) / np.maximum(z, 1e-300), 1.0)
-    vf = np.fft.rfft(vel, axis=0)
     upd = np.zeros_like(vf)
     upd[dropped] = (dt * phi1)[:, None] * vf[dropped]
     coords += np.fft.irfft(upd, n=coords.shape[0], axis=0)
@@ -168,19 +169,19 @@ def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None)
     dt = min(dt, config.t_end - state.t)
     mask, rate = _zonal_filter(grid, vel, dt)
 
-    k1 = _apply_mask(vel.H, mask)
+    k1, vf = _apply_mask(vel.H, mask)
 
     def stage(displacement):
         g = grid.copy()
         g.coords += displacement
-        return _apply_mask(compute_mean_curvature(g).H, mask)
+        return _apply_mask(compute_mean_curvature(g).H, mask)[0]
 
     k2 = stage(0.5 * dt * k1)
     k3 = stage(0.5 * dt * k2)
     k4 = stage(dt * k3)
     new = grid.copy()
     new.coords += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    _exponential_mode_step(new.coords, vel.H, mask, rate, dt)
+    _exponential_mode_step(new.coords, vf, mask, rate, dt)
     new.coords, new.chart_ids = grid.model.recharted(new.coords, new.chart_ids)
     return FlowState(grid=new, t=state.t + dt, step_index=state.step_index + 1)
 

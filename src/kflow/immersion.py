@@ -29,17 +29,19 @@ code path serves every model and chart:
 
 * stage 1, `compute_mean_curvature`: partials, induced metric and inverse,
   spacings, T_ab = F_ab + Gamma(F_a, F_b) and the mean curvature vector H;
-  this is all the stepper, the quadrature and the density layer need;
+  this is all the stepper, the quadrature and the density layer need.
+  Everything but the partials and the metric is formed on first read;
 * stage 2, `compute_geometry`: stage 1 plus the adapted frame, the second
   fundamental form h in it, cos(alpha), |nabla J|^2 and |A|^2, computed
-  when a diagnostics record is due.
+  when a diagnostics record is due, as explicit per-node 2x2 algebra on
+  (nu, nv) planes, one `inner` call per inner product.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -209,8 +211,9 @@ NONDEGENERACY_FLOOR = 1e-6
 @dataclass(frozen=True)
 class MeanCurvature:
     """Stage 1 of a grid's geometry, as (nu, nv, ...) arrays: what the
-    stepper, the quadrature and the density layer need.  The matrices and
-    spacings are formed on first use: the later RK stages read only H."""
+    stepper, the quadrature and the density layer need.  Only the partials
+    and the metric entries are formed at once; T, H, the matrices and the
+    spacings follow on first read, and the quadrature reads neither T nor H."""
 
     grid: SurfaceGrid
     Fu: np.ndarray
@@ -219,9 +222,36 @@ class MeanCurvature:
     g12: np.ndarray
     g22: np.ndarray
     det: np.ndarray
-    T: tuple  # (T_uu, T_uv, T_vv), T_ab = F_ab + Gamma(F_a, F_b)
-    H: np.ndarray  # (nu, nv, 4) mean curvature vector: the flow velocity
-    H_norm_sq: np.ndarray
+    F2: tuple  # (Fuu, Fuv, Fvv); T is formed over them in place
+
+    @cached_property
+    def T(self):
+        """(T_uu, T_uv, T_vv), T_ab = F_ab + Gamma(F_a, F_b)."""
+        model, x = self.grid.model, self.grid.coords
+        if not model.is_flat:  # Gamma = 0
+            for F2, a, b in zip(self.F2, (self.Fu, self.Fu, self.Fv), (self.Fu, self.Fv, self.Fv)):
+                F2 += model.connection(x, a, b)
+        return self.F2
+
+    @cached_property
+    def H(self):
+        """(nu, nv, 4) mean curvature vector, g^ab T_ab minus its tangential
+        part: the flow velocity."""
+        (i11, i12, i22), T = self._inv, self.T
+        model, x, Fu, Fv = self.grid.model, self.grid.coords, self.Fu, self.Fv
+        Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
+        pu, pv = model.inner(x, Htr, Fu), model.inner(x, Htr, Fv)
+        cu, cv = i11 * pu + i12 * pv, i12 * pu + i22 * pv
+        return Htr - cu[..., None] * Fu - cv[..., None] * Fv
+
+    @cached_property
+    def H_norm_sq(self):
+        return self.grid.model.inner(self.grid.coords, self.H, self.H)
+
+    @cached_property
+    def _inv(self):
+        """The inverse metric's entries (g^uu, g^uv, g^vv)."""
+        return self.g22 / self.det, -self.g12 / self.det, self.g11 / self.det
 
     @cached_property
     def g(self):
@@ -229,7 +259,7 @@ class MeanCurvature:
 
     @cached_property
     def ginv(self):
-        return _sym2(self.g22 / self.det, -self.g12 / self.det, self.g11 / self.det)
+        return _sym2(*self._inv)
 
     @cached_property
     def sqrtg(self):
@@ -238,11 +268,11 @@ class MeanCurvature:
     @property
     def hu(self):
         """Effective spacing du / sqrt(g^uu) (hv likewise)."""
-        return self.grid.du / np.sqrt(self.ginv[..., 0, 0])
+        return self.grid.du / np.sqrt(self._inv[0])
 
     @property
     def hv(self):
-        return self.grid.dv / np.sqrt(self.ginv[..., 1, 1])
+        return self.grid.dv / np.sqrt(self._inv[2])
 
 
 @dataclass(frozen=True)
@@ -282,9 +312,9 @@ def _sym2(a, b, c):
 
 
 def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
-    """Stage 1: the partials, the induced metric and its inverse, the
-    spacings, T_ab = F_ab + Gamma(F_a, F_b) and the mean curvature vector
-    H = g^ab T_ab minus its tangential part."""
+    """Stage 1: the partials and the induced metric, checked for
+    degeneracy here; the inverse, the spacings, T_ab = F_ab + Gamma(F_a, F_b)
+    and the mean curvature vector H follow on first read."""
     Fu, Fv, Fuu, Fuv, Fvv = grid_partials(grid)
     x, model = grid.coords, grid.model
     g11 = model.inner(x, Fu, Fu)
@@ -293,90 +323,69 @@ def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
     det = g11 * g22 - g12**2
     if np.any(det <= NONDEGENERACY_FLOOR**4):
         raise DegenerateImmersionError("induced metric degenerate in flow step")
-    i11 = g22 / det
-    i22 = g11 / det
-    i12 = -g12 / det
-    T = (Fuu, Fuv, Fvv)  # formed in place: the second partials are not kept
-    if not model.is_flat:  # Gamma = 0
-        for F2, a, b in zip(T, (Fu, Fu, Fv), (Fu, Fv, Fv)):
-            F2 += model.connection(x, a, b)
-    Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
-    pu = model.inner(x, Htr, Fu)
-    pv = model.inner(x, Htr, Fv)
-    cu = i11 * pu + i12 * pv
-    cv = i12 * pu + i22 * pv
-    H = Htr - cu[..., None] * Fu - cv[..., None] * Fv
-    return MeanCurvature(grid, Fu, Fv, g11, g12, g22, det, T, H, model.inner(x, H, H))
+    return MeanCurvature(grid, Fu, Fv, g11, g12, g22, det, (Fuu, Fuv, Fvv))
 
 
-def _normalize(model, x, v):
+def _normalize(model, x, v, degenerate):
+    """v / |v|, or DegenerateImmersionError(degenerate) if |v| < NONDEGENERACY_FLOOR."""
     n = np.sqrt(model.inner(x, v, v))
-    return v / n[..., None], n
+    if np.any(n < NONDEGENERACY_FLOOR):
+        raise DegenerateImmersionError(degenerate)
+    return v / n[..., None]
 
 
 def _adapted_frames(model, x, Fu, Fv):
-    """Orthonormal frames at every node, as (nu, nv, 4, 4) with rows e1, e2
+    """Orthonormal frames at every node: the (nu, nv, 4) arrays e1, e2
     (Gram-Schmidt on Fu, Fv), v1 and v2 (normal, positively oriented)."""
-    e1, n1 = _normalize(model, x, Fu)
-    if np.any(n1 < NONDEGENERACY_FLOOR):
-        raise DegenerateImmersionError("tangent vector below nondegeneracy floor")
-    e2, n2 = _normalize(model, x, Fv - model.inner(x, e1, Fv)[..., None] * e1)
-    if np.any(n2 < NONDEGENERACY_FLOOR):
-        raise DegenerateImmersionError("Gram-Schmidt pivot below floor")
+    e1 = _normalize(model, x, Fu, "tangent vector below nondegeneracy floor")
+    e2 = Fv - model.inner(x, e1, Fv)[..., None] * e1
+    e2 = _normalize(model, x, e2, "Gram-Schmidt pivot below floor")
 
     # Normal seed: the coordinate basis vector least aligned with the tangent
-    # plane (tie-break lowest index via argmin).
+    # plane (tie-break lowest index via argmin), one (nu, nv) plane per
+    # basis vector b_c.
     basis = np.eye(4)
-    xb = x[..., None, :]
-    be1 = model.inner(xb, basis, e1[..., None, :])  # <b_c, e1>
-    be2 = model.inner(xb, basis, e2[..., None, :])
-    align = (be1**2 + be2**2) / model.inner(xb, basis, basis)
-    seed = np.argmin(align, axis=-1)[..., None]
-    v1raw = (
-        basis[seed[..., 0]]
-        - np.take_along_axis(be1, seed, -1) * e1
-        - np.take_along_axis(be2, seed, -1) * e2
-    )
-    v1, nv1 = _normalize(model, x, v1raw)
-    if np.any(nv1 < NONDEGENERACY_FLOOR):
-        raise DegenerateImmersionError("normal seed degenerate")
+    be1 = [model.inner(x, b, e1) for b in basis]  # <b_c, e1>
+    be2 = [model.inner(x, b, e2) for b in basis]
+    align = [(p1**2 + p2**2) / model.inner(x, b, b) for p1, p2, b in zip(be1, be2, basis)]
+    seed = np.argmin(align, axis=0)
+    v1raw = basis[seed] - np.choose(seed, be1)[..., None] * e1 - np.choose(seed, be2)[..., None] * e2
+    v1 = _normalize(model, x, v1raw, "normal seed degenerate")
 
     # v2 is fixed by the ambient orientation, <v2, X> = vol(e1, e2, v1, X).
     # The volume form is omega^2/2, whose cofactor expansion with
     # omega(a, b) = <Ja, b> gives v2 without the metric's inverse or
     # determinant.
     omega = lambda a, b: model.inner(x, apply_J(a), b)[..., None]
-    v2 = omega(e1, e2) * apply_J(v1) - omega(e1, v1) * apply_J(e2)
-    v2, _ = _normalize(model, x, v2 + omega(e2, v1) * apply_J(e1))
-    return np.stack([e1, e2, v1, v2], axis=-2)
+    v2 = omega(e1, e2) * apply_J(v1) - omega(e1, v1) * apply_J(e2) + omega(e2, v1) * apply_J(e1)
+    return e1, e2, v1, _normalize(model, x, v2, "oriented normal degenerate")
 
 
-def _second_fundamental(model, x, stage1: MeanCurvature, frame):
-    """h[alpha, i, j] in the frame, H, |H|^2, cos(alpha), sin^2(alpha),
-    |nabla J|^2 and |A|^2 (the order of the GridGeometry fields)."""
-    normals = frame[..., 2:, :]
-    # M[a, i] = <F_a, e_i>;  e_i = C^a_i F_a with C = g^{-1} M
-    F = np.stack([stage1.Fu, stage1.Fv], axis=-2)
-    M = model.inner(x[..., None, None, :], F[..., :, None, :], frame[..., None, :2, :])
-    C = stage1.ginv @ M
-    # normal components of T in the coordinate basis, htilde[n, a, b]
-    Tuu, Tuv, Tvv = stage1.T
-    T = np.stack([Tuu, Tuv, Tuv, Tvv], axis=-2).reshape(Tuu.shape[:-1] + (1, 2, 2, 4))
-    htilde = model.inner(x[..., None, None, None, :], T, normals[..., :, None, None, :])
-    h = np.einsum("...nab,...ai,...bj->...nij", htilde, C, C, optimize=True)
-    h = 0.5 * (h + np.swapaxes(h, -1, -2))
-    Halpha = np.einsum("...ab,...nab->...n", stage1.ginv, htilde)
-    Hvec = np.einsum("...n,...nd->...d", Halpha, normals)
-    H2 = np.einsum("...n,...n->...", Halpha, Halpha)
+def _second_fundamental(model, x, stage1: MeanCurvature, e1, e2, v1, v2):
+    """h[alpha, i, j] in the frame (e1, e2, v1, v2), H, |H|^2, cos(alpha),
+    sin^2(alpha), |nabla J|^2 and |A|^2 (the order of the GridGeometry
+    fields), by explicit per-node 2x2 algebra on (nu, nv) planes."""
+    i11, i12, i22 = stage1._inv
+    # e_i = C[a, i] F_a with C = g^-1 M, M[a, i] = <F_a, e_i>; C[i] is the
+    # column (C[u, i], C[v, i])
+    M = [(model.inner(x, stage1.Fu, e), model.inner(x, stage1.Fv, e)) for e in (e1, e2)]
+    C = [(i11 * mu + i12 * mv, i12 * mu + i22 * mv) for mu, mv in M]
+    # h[n, i, j] = htilde[n, a, b] C[a, i] C[b, j] with htilde[n, a, b] = <T_ab, v_n>
+    h = np.empty(x.shape[:-1] + (2, 2, 2))
+    Ha = []  # H^n = g^ab htilde[n, a, b]
+    for n, v in enumerate((v1, v2)):
+        huu, huv, hvv = (model.inner(x, Tab, v) for Tab in stage1.T)
+        Ha.append(i11 * huu + 2 * i12 * huv + i22 * hvv)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            (ui, vi), (uj, vj) = C[i], C[j]
+            h[..., n, i, j] = h[..., n, j, i] = huu * ui * uj + huv * (ui * vj + vi * uj) + hvv * vi * vj
     # J e1 is a unit vector: omega(e1, e2) = cos(alpha), and its normal
     # components omega(e1, v1), omega(e1, v2) give sin^2(alpha)
-    je1 = apply_J(frame[..., 0, :])
-    cos_alpha = model.inner(x, je1, frame[..., 1, :])
-    sin_sq_alpha = (
-        model.inner(x, je1, frame[..., 2, :]) ** 2 + model.inner(x, je1, frame[..., 3, :]) ** 2
-    )
-    A2 = np.einsum("...nij->...", h**2)
-    return h, Hvec, H2, cos_alpha, sin_sq_alpha, nabla_J_squared(h), A2
+    je1 = apply_J(e1)
+    sin_sq_alpha = model.inner(x, je1, v1) ** 2 + model.inner(x, je1, v2) ** 2
+    A2 = sum(h[..., n, i, j] ** 2 for n, i, j in np.ndindex(2, 2, 2))
+    H = Ha[0][..., None] * v1 + Ha[1][..., None] * v2
+    return h, H, Ha[0] ** 2 + Ha[1] ** 2, model.inner(x, je1, e2), sin_sq_alpha, nabla_J_squared(h), A2
 
 
 def compute_geometry(grid: SurfaceGrid, stage1: MeanCurvature | None = None) -> GridGeometry:
@@ -392,7 +401,8 @@ def compute_geometry(grid: SurfaceGrid, stage1: MeanCurvature | None = None) -> 
         raise DegenerateImmersionError("induced metric not SPD above floor")
     model, x = grid.model, grid.coords
     frame = _adapted_frames(model, x, stage1.Fu, stage1.Fv)
-    return GridGeometry(grid, stage1, frame, *_second_fundamental(model, x, stage1, frame))
+    values = _second_fundamental(model, x, stage1, *frame)
+    return GridGeometry(grid, stage1, np.stack(frame, axis=-2), *values)
 
 
 def frame_rotated_scalars(geom: GridGeometry, theta, psi):
@@ -403,12 +413,9 @@ def frame_rotated_scalars(geom: GridGeometry, theta, psi):
         return c * a + s * b, -s * a + c * b
 
     f = geom.frame
-    e1, e2 = rotate(f[..., 0, :], f[..., 1, :], theta)
-    v1, v2 = rotate(f[..., 2, :], f[..., 3, :], psi)
-    rframe = np.stack([e1, e2, v1, v2], axis=-2)
-    values = _second_fundamental(geom.grid.model, geom.grid.coords, geom.stage1, rframe)
-    names = ("h", "H", "H_norm_sq", "cos_alpha", "sin_sq_alpha", "nablaJ_sq", "A_sq")
-    return dict(zip(names, values))
+    rows = (*rotate(f[..., 0, :], f[..., 1, :], theta), *rotate(f[..., 2, :], f[..., 3, :], psi))
+    values = _second_fundamental(geom.grid.model, geom.grid.coords, geom.stage1, *rows)
+    return dict(zip((field.name for field in fields(GridGeometry)[3:]), values))
 
 
 def nabla_J_squared(h):
@@ -432,15 +439,11 @@ def laplace_beltrami(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | 
     fv = field_deriv(grid, f, axis=1)
     wu = geom.sqrtg * (geom.ginv[..., 0, 0] * fu + geom.ginv[..., 0, 1] * fv)
     wv = geom.sqrtg * (geom.ginv[..., 1, 0] * fu + geom.ginv[..., 1, 1] * fv)
-    div = field_deriv(grid, wu, axis=0) + field_deriv(
-        grid, wv, axis=1, pole_parity=-1
-    )
+    div = field_deriv(grid, wu, axis=0) + field_deriv(grid, wv, axis=1, pole_parity=-1)
     return div / geom.sqrtg
 
 
-_SPHERE_W_CACHE: dict = {}
-
-
+@lru_cache
 def sphere_latitude_weights(nv):
     """Quadrature weights for the staggered colatitude rows of a sphere grid.
 
@@ -450,17 +453,13 @@ def sphere_latitude_weights(nv):
     Returned weights multiply the raw nodal values f * sqrt(g); they reduce
     to dv * (1 + O(dv^2)) away from the poles.
     """
-    if nv in _SPHERE_W_CACHE:
-        return _SPHERE_W_CACHE[nv]
     v = (np.arange(nv) + 0.5) * np.pi / nv
     k = np.arange(nv)
     ik = np.where((k % 2 == 0), 2.0 / np.where(k == 1, 1, 1 - k**2), 0.0)
     lam = np.full(nv, 2.0 / nv)
     lam[0] = 1.0 / nv
     w = np.cos(np.outer(v, k)) @ (lam * ik)
-    weights = w / np.sin(v)
-    _SPHERE_W_CACHE[nv] = weights
-    return weights
+    return w / np.sin(v)
 
 
 def quadrature_weights(grid: SurfaceGrid, geom: MeanCurvature | GridGeometry | None = None):

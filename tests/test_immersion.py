@@ -1,6 +1,7 @@
 """Discrete surface geometry against analytic oracles: induced metric,
 quadrature, mean curvature, Kähler angle, Laplacian, snapshot IO."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kflow.ambient import FlatT4, get_model
+from kflow import immersion
+from kflow.ambient import FlatT4, apply_J, get_model
+from kflow.errors import DegenerateImmersionError
 from kflow.immersion import (
     _D1,
     _D2,
     _OFFS,
     SNAPSHOT_FORMAT,
+    GridGeometry,
     SurfaceGrid,
     _taps,
     compute_geometry,
@@ -595,3 +599,174 @@ def test_stencil_taps_are_shifted_views_inside_their_buffer(axis):
 def test_sphere_grid_needs_three_latitude_rows():
     with pytest.raises(ValueError, match="latitude rows"):
         build_surface("round-sphere", C2, nu=4, nv=2)
+
+
+# -- stage 2 against the broadcast-einsum construction it replaced -----------
+
+
+def _broadcast_adapted_frames(model, x, Fu, Fv):
+    """Adapted frames with the normal seed chosen by a (..., 4, 4) broadcast
+    over the coordinate basis."""
+
+    def normalize(v):
+        return v / np.sqrt(model.inner(x, v, v))[..., None]
+
+    e1 = normalize(Fu)
+    e2 = normalize(Fv - model.inner(x, e1, Fv)[..., None] * e1)
+    basis = np.eye(4)
+    xb = x[..., None, :]
+    be1 = model.inner(xb, basis, e1[..., None, :])
+    be2 = model.inner(xb, basis, e2[..., None, :])
+    seed = np.argmin((be1**2 + be2**2) / model.inner(xb, basis, basis), axis=-1)[..., None]
+    pick = lambda a: np.take_along_axis(a, seed, -1)
+    v1 = normalize(basis[seed[..., 0]] - pick(be1) * e1 - pick(be2) * e2)
+    omega = lambda a, b: model.inner(x, apply_J(a), b)[..., None]
+    v2 = omega(e1, e2) * apply_J(v1) - omega(e1, v1) * apply_J(e2)
+    v2 = normalize(v2 + omega(e2, v1) * apply_J(e1))
+    return np.stack([e1, e2, v1, v2], axis=-2)
+
+
+_STAGE2_FIELDS = ("h", "H", "H_norm_sq", "cos_alpha", "sin_sq_alpha", "nablaJ_sq", "A_sq")
+
+
+def _broadcast_second_fundamental(model, x, stage1, frame):
+    """The stage-2 fields from h on (`_STAGE2_FIELDS`), by broadcast einsums
+    over (..., 2, 2, 4) stacks, and for each field the sum of the absolute
+    values of the terms its entries are formed from.  In those sums
+    Euclidean norms stand in for ambient inner products: every model's
+    metric is at most the identity, and so is the rounding of an inner
+    product relative to |u||w|."""
+    normals = frame[..., 2:, :]
+    F = np.stack([stage1.Fu, stage1.Fv], axis=-2)
+    M = model.inner(x[..., None, None, :], F[..., :, None, :], frame[..., None, :2, :])
+    C = stage1.ginv @ M
+    Tuu, Tuv, Tvv = stage1.T
+    T = np.stack([Tuu, Tuv, Tuv, Tvv], axis=-2).reshape(Tuu.shape[:-1] + (1, 2, 2, 4))
+    htilde = model.inner(x[..., None, None, None, :], T, normals[..., :, None, None, :])
+    h = np.einsum("...nab,...ai,...bj->...nij", htilde, C, C, optimize=True)
+    h = 0.5 * (h + np.swapaxes(h, -1, -2))
+    Halpha = np.einsum("...ab,...nab->...n", stage1.ginv, htilde)
+    je1 = apply_J(frame[..., 0, :])
+    values = (
+        h,
+        np.einsum("...n,...nd->...d", Halpha, normals),
+        np.einsum("...n,...n->...", Halpha, Halpha),
+        model.inner(x, je1, frame[..., 1, :]),
+        model.inner(x, je1, frame[..., 2, :]) ** 2 + model.inner(x, je1, frame[..., 3, :]) ** 2,
+        nabla_J_squared(h),
+        np.einsum("...nij->...", h**2),
+    )
+
+    norm = lambda v: np.linalg.norm(v, axis=-1)
+    fn = norm(frame)
+    ginv = np.abs(stage1.ginv)
+    mC = ginv @ (norm(F)[..., :, None] * fn[..., None, :2])
+    mht = norm(T) * fn[..., 2:, None, None]
+    mh = np.einsum("...nab,...ai,...bj->...nij", mht, mC, mC)
+    mHa = np.einsum("...ab,...nab->...n", ginv, mht)
+    pair = lambda a, b: (mh[..., a[0], a[1], a[2]] + mh[..., b[0], b[1], b[2]]) ** 2
+    mags = (
+        mh,
+        np.einsum("...n,...n->...", mHa, fn[..., 2:])[..., None],
+        np.sum(mHa**2, axis=-1),
+        fn[..., 0] * fn[..., 1],
+        fn[..., 0] ** 2 * (fn[..., 2] ** 2 + fn[..., 3] ** 2),
+        pair((1, 0, 0), (0, 0, 1)) + pair((1, 1, 0), (0, 1, 1)) + pair((1, 0, 1), (0, 0, 0)) + pair((1, 1, 1), (0, 1, 0)),
+        np.sum(mh**2, axis=(-3, -2, -1)),
+    )
+    return values, mags
+
+
+_STAGE2_GRIDS = {
+    "flat-sphere-32x16": lambda: build_surface("round-sphere", C2, radius=0.8, nu=32, nv=16),
+    "t4-graph-32x32": lambda: _shifted_torus(nu=32, nv=32),
+    "cp1-three-charts": lambda: build_surface(
+        "perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=32, nv=16
+    ),
+}
+
+# The explicit 2x2 algebra and the broadcast einsums evaluate the same sums
+# in another order and grouping, on inner products that may round
+# differently: every entry must agree within _STAGE2_ULPS * eps times the
+# sum of the absolute values of its terms.
+_STAGE2_ULPS = 16
+
+
+def _assert_stage2_fields(got, want, mags, what):
+    for name, g, w, m in zip(_STAGE2_FIELDS, got, want, mags):
+        assert np.isfinite(g).all() and g.shape == w.shape, (what, name)
+        excess = np.abs(g - w) - _STAGE2_ULPS * np.finfo(float).eps * m
+        assert np.all(excess <= 0), (what, name, excess.max())
+
+
+@pytest.mark.parametrize("family", sorted(_STAGE2_GRIDS))
+def test_stage2_matches_broadcast_oracle(family):
+    """Every GridGeometry field, and frame_rotated_scalars at random
+    angles, against the broadcast-einsum construction."""
+    grid = _STAGE2_GRIDS[family]()
+    if family == "cp1-three-charts":
+        assert len(np.unique(grid.chart_ids)) == 3
+    model, x = grid.model, grid.coords
+    geom = compute_geometry(grid)
+    stage1 = geom.stage1
+    checked = {"grid", "stage1", "frame", *_STAGE2_FIELDS}
+    assert checked == {f.name for f in dataclasses.fields(GridGeometry)}
+    assert geom.grid is grid
+    assert geom.g is stage1.g and geom.ginv is stage1.ginv and geom.sqrtg is stage1.sqrtg
+
+    frame = _broadcast_adapted_frames(model, x, stage1.Fu, stage1.Fv)
+    bound = _STAGE2_ULPS * np.finfo(float).eps * np.linalg.norm(frame, axis=-1)[..., None]
+    assert np.all(np.abs(geom.frame - frame) <= bound), np.max(np.abs(geom.frame - frame) - bound)
+    want, mags = _broadcast_second_fundamental(model, x, stage1, geom.frame)
+    _assert_stage2_fields([getattr(geom, name) for name in _STAGE2_FIELDS], want, mags, "geometry")
+
+    rng = np.random.default_rng(11)
+    f = geom.frame
+    for theta, psi in rng.uniform(0, 2 * np.pi, size=(4, 2)):
+        rot = frame_rotated_scalars(geom, theta, psi)
+        c, s, cp, sp = np.cos(theta), np.sin(theta), np.cos(psi), np.sin(psi)
+        rframe = np.stack(
+            [
+                c * f[..., 0, :] + s * f[..., 1, :],
+                -s * f[..., 0, :] + c * f[..., 1, :],
+                cp * f[..., 2, :] + sp * f[..., 3, :],
+                -sp * f[..., 2, :] + cp * f[..., 3, :],
+            ],
+            axis=-2,
+        )
+        want, mags = _broadcast_second_fundamental(model, x, stage1, rframe)
+        _assert_stage2_fields([rot[name] for name in _STAGE2_FIELDS], want, mags, ("rotated", theta, psi))
+
+
+# -- stage 1 forms T and H on first read -------------------------------------
+
+
+def test_quadrature_weights_leave_H_unformed(monkeypatch):
+    grid = build_surface("perturbed-cp1", CP2, delta=0.05, line_coeffs=(2.0, 1.5), nu=32, nv=16)
+    built = []
+
+    def recording(g):
+        built.append(compute_mean_curvature(g))
+        return built[-1]
+
+    monkeypatch.setattr(immersion, "compute_mean_curvature", recording)
+    lazy = quadrature_weights(grid)
+    assert len(built) == 1
+    assert not {"T", "H", "H_norm_sq"} & set(vars(built[0]))
+    eager = compute_mean_curvature(grid)
+    eager.H_norm_sq  # forms T, H and |H|^2 first
+    assert lazy.tobytes() == quadrature_weights(grid, eager).tobytes()
+
+
+def test_degenerate_metric_raises_before_H_is_read(monkeypatch):
+    grid = build_surface("round-sphere", C2, nu=16, nv=8)
+    grid.coords[:] = grid.coords[:1, :1]  # every node at one point: g = 0
+
+    def unread(self):
+        raise AssertionError("H read")
+
+    monkeypatch.setattr(immersion.MeanCurvature, "H", property(unread))
+    with pytest.raises(DegenerateImmersionError):
+        compute_mean_curvature(grid)
+    with pytest.raises(DegenerateImmersionError):
+        quadrature_weights(grid)
