@@ -7,7 +7,9 @@ Three demonstrations on flat-space spheres:
    resolution, and the cost of the density sums: a 128x64 flat calibration,
    a 64x32 perturbed-cp1 calibration in CP² and one monitor snapshot of it,
    each with its time and the peak resident memory (ru_maxrss) so far,
-   which stays small because the density sums run in bounded row blocks.
+   which stays small because the density sums run in bounded row blocks
+   and, for the calibration's on-surface probe, in node tiles that form
+   each node pair's kernel once.
 2. Phi -> 1 as the kernel scale shrinks at a fixed cutoff radius, queried
    on the surface.
 3. The extinction-center signal: Phi(tau) = (R^2/tau) e^{-R^2/(4 tau)}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 
 from .ambient import get_model
 from .errors import ConfigError, check_kind
@@ -103,9 +104,15 @@ def resolve_sweep_spec(doc: dict) -> dict:
     spec = _merge("sweep", doc, _SWEEP_DEFAULTS)
     if spec["base"] is None or spec["deltas"] is None:
         raise ConfigError("sweep: 'base' and 'deltas' are required")
-    deltas = [float(d) for d in spec["deltas"]]
-    if any(d <= 0 for d in deltas) or sorted(deltas) != deltas:
-        raise ConfigError("sweep: deltas must be positive and sorted ascending")
+    deltas = spec["deltas"]
+    if not isinstance(deltas, list) or not deltas:
+        raise ConfigError(f"sweep: deltas must be a non-empty list of numbers, not {deltas!r}")
+    check_kind("sweep.deltas", deltas, [0.0] * len(deltas))
+    deltas = [float(d) for d in deltas]
+    if not all(0 < d < math.inf for d in deltas) or sorted(deltas) != deltas:
+        raise ConfigError("sweep: deltas must be positive, finite and sorted ascending")
+    if not spec["eps0"] > 0:
+        raise ConfigError(f"sweep: eps0 must be positive, not {spec['eps0']!r}")
     base = resolve_run_config(spec["base"])
     if base["surface"]["family"] != "perturbed-cp1":
         raise ConfigError("sweep: base surface family must be perturbed-cp1")

@@ -18,8 +18,12 @@ once per call (measured from their mean, so that the flat product form
 does not cancel far from the origin), each row block of query centres
 (about 2^18 entries) gets its squared distances to every node from one
 `AmbientModel.sq_distances` product, and the kernel is taken on d^2 in
-place, with square roots on the cutoff band alone.  Memory grows linearly
-in the number of grid nodes, not as queries x nodes.
+place, with square roots on the cutoff band alone.  When the centres are
+the nodes themselves (calibrate_r0's on-surface probe) the kernel is
+symmetric, so the nodes are cut into tiles of _TILE_ROWS and each tile
+pair i <= j is formed once: it sums into the rows of tile i and, through
+its transpose, into those of tile j.  Memory grows linearly in the number
+of grid nodes, not as queries x nodes.
 
 density_derivative_check verifies the identity (flat ambients only, fixed
 kernel scale tau = r^2)
@@ -97,30 +101,49 @@ def _gaussian_in_place(d2, r, tau):
 
 # kernel entries per row block of the density sums
 _BLOCK_ENTRIES = 1 << 18
+_TILE_ROWS = 256  # side of a node tile: 2^16 kernel entries
 _N_OFFSURFACE = 100  # random calibration centres near the surface
 _MAX_QUERIES_PER_SNAPSHOT = 500  # monitor centres per snapshot
 
 
 def _sq_distance_blocks(grid: SurfaceGrid, xs, cs):
-    """(first row, block) pairs: squared distances from the centres
-    (xs[k], cs[k]) to every grid node, about _BLOCK_ENTRIES per block.
-    Blocks are a multiple of 16 rows, so a gemv that works through rows in
-    groups (as OpenBLAS does) sums every row as one whole-matrix product."""
+    """(rows, cols, block) triples: squared distances from the centres
+    (xs[k], cs[k]) of slice `rows` to the grid nodes of slice `cols`.
+    Given centres come in row blocks of about _BLOCK_ENTRIES against every
+    node (cols from 0), a multiple of 16 rows, so a gemv that works through
+    rows in groups (as OpenBLAS does) sums every row as one whole-matrix
+    product.  With xs None the centres are the nodes, in node tiles
+    rows <= cols of _TILE_ROWS; a node's sum is then split across tiles,
+    so the whole-matrix statement holds for the row blocks only."""
     model = grid.model
     x = grid.coords.reshape(-1, 4)
     origin = x.mean(axis=0)
     nodes = model.lift(x, grid.chart_ids.reshape(-1), origin)
+    if xs is None:
+        b = _TILE_ROWS
+        for i in range(0, len(x), b):
+            tile = nodes[i : i + b]
+            for j in range(i, len(x), b):
+                yield slice(i, i + b), slice(j, j + b), model.sq_distances(tile, nodes[j : j + b])
+        return
     rows = max(16, _BLOCK_ENTRIES // len(x) // 16 * 16)
     for i in range(0, len(xs), rows):
-        yield i, model.sq_distances(model.lift(xs[i : i + rows], cs[i : i + rows], origin), nodes)
+        lifted = model.lift(xs[i : i + rows], cs[i : i + rows], origin)
+        yield slice(i, i + rows), slice(0, len(x)), model.sq_distances(lifted, nodes)
 
 
 def _densities(grid: SurfaceGrid, xs, cs, w, r, tau):
     """Kernel quadrature sum_j K(d(center_k, node_j)) w[j] for each center
-    (xs[k], cs[k]), block by block."""
-    out = np.empty(len(xs))
-    for i, d2 in _sq_distance_blocks(grid, xs, cs):
-        out[i : i + len(d2)] = _gaussian_in_place(d2, r, tau) @ w
+    (xs[k], cs[k]), block by block; xs None takes every node as a centre.
+    A node tile above the diagonal (cols after rows) also sums, through its
+    transpose, into the nodes of its columns."""
+    out = np.zeros(len(w) if xs is None else len(xs))
+    for rows, cols, d2 in _sq_distance_blocks(grid, xs, cs):
+        # in place: a second name for the kernel would keep a spent block alive
+        _gaussian_in_place(d2, r, tau)
+        out[rows] += d2 @ w[cols]
+        if cols.start > rows.start:
+            out[cols] += w[rows] @ d2
     out *= 1.0 / (4.0 * np.pi * tau)
     return out
 
@@ -138,6 +161,8 @@ def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
     """Largest kernel radius r0 (bisection) such that the density of the
     initial surface at t0 = r0^2 stays <= 1 + eps0/2 over every surface
     node and `_N_OFFSURFACE` random ambient points within r0 of the surface.
+    Each probe sums the node densities over node tiles, forming each
+    unordered node pair's kernel once, and the random points in row blocks.
 
     Raises CalibrationError when no radius above the resolution floor 4h
     qualifies (grid too coarse for the requested eps0)."""
@@ -156,15 +181,13 @@ def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
     fracs = rng.uniform(0.0, 1.0, size=_N_OFFSURFACE)
 
     w = quadrature_weights(grid, stage1).reshape(-1)
-    all_x = grid.coords.reshape(-1, 4)
-    all_c = grid.chart_ids.reshape(-1)
-    base_x = all_x[flat_idx]
-    base_c = all_c[flat_idx]
+    base_x = grid.coords.reshape(-1, 4)[flat_idx]
+    base_c = grid.chart_ids.reshape(-1)[flat_idx]
     unit = dirs / model.norm(base_x, dirs)[:, None]
 
     def max_density(r):
         tau = r * r
-        best = _densities(grid, all_x, all_c, w, r, tau).max()
+        best = _densities(grid, None, None, w, r, tau).max()
         # random ambient centers within r of the surface
         off_x, off_c = model.exp(base_x, base_c, unit * (fracs * r)[:, None])
         return max(best, _densities(grid, off_x, off_c, w, r, tau).max())
@@ -268,7 +291,7 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
     )
     stage1 = compute_mean_curvature(gm)
     w = quadrature_weights(gm, stage1).reshape(-1) / (4.0 * np.pi * tau)
-    _, d2 = next(_sq_distance_blocks(gm, x0, c0))
+    *_, d2 = next(_sq_distance_blocks(gm, x0, c0))
     dm = np.sqrt(d2[0])
     heat = _gaussian_in_place(d2[0].copy(), None, tau)
     kernel = _gaussian_in_place(d2[0], r, tau)

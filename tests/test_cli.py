@@ -133,6 +133,23 @@ class TestResolve:
         # no sweep setting is read besides base, deltas and eps0
         with pytest.raises(ConfigError, match="converged_gap_tol"):
             resolve_sweep_spec({"base": base, "deltas": [0.01], "converged_gap_tol": 1e-3})
+        for deltas in ("0.1", 5, [], ["0.1"], [True], [0.01, float("nan")], [0.01, float("inf")]):
+            with pytest.raises(ConfigError, match="deltas"):
+                resolve_sweep_spec({"base": base, "deltas": deltas})
+        for eps0 in (0, -0.5, float("nan")):
+            with pytest.raises(ConfigError, match="eps0"):
+                resolve_sweep_spec({"base": base, "deltas": [0.01], "eps0": eps0})
+
+    @pytest.mark.parametrize("spec", [{"deltas": "0.1"}, {"deltas": []}, {"eps0": 0}])
+    def test_malformed_sweep_spec_exits_1(self, tmp_path, capsys, spec):
+        doc = {"base": {**_base_config(tmp_path / "out"), "model": "Fubini-Study-CP2"},
+               "deltas": [0.01], **spec}
+        doc["base"]["surface"] = {"family": "perturbed-cp1", "nu": 16, "nv": 8}
+        assert main(["sweep", _write(tmp_path / "sweep.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep spec error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_load_json_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

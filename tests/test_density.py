@@ -286,10 +286,16 @@ def test_blocked_densities_match_unblocked_oracle(name):
     rows = density._BLOCK_ENTRIES // n // 16 * 16
     xs, cs = grid.coords.reshape(-1, 4), grid.chart_ids.reshape(-1)
     w = quadrature_weights(grid).reshape(-1)
-    # every node, and an odd subset: both end in a partial block
-    for idx in (np.arange(n), np.arange(1, n, 2)):
+    every, odd = np.arange(n), np.arange(1, n, 2)
+    # every node and an odd subset as row blocks, both ending in a partial
+    # block; the node set (centres None) as node tiles, partial on the
+    # 800-node spheres
+    for idx in (every, odd):
         assert len(idx) > rows and len(idx) % rows
-        got = density._densities(grid, xs[idx], cs[idx], w, r, r * r)
+    if name.endswith("flat-sphere"):
+        assert n > density._TILE_ROWS and n % density._TILE_ROWS
+    for idx, centres in ((every, (xs, cs)), (odd, (xs[odd], cs[odd])), (every, (None, None))):
+        got = density._densities(grid, *centres, w, r, r * r)
         want = _unblocked_densities(grid, xs[idx], cs[idx], w, r, r * r)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -297,15 +303,19 @@ def test_blocked_densities_match_unblocked_oracle(name):
 @pytest.mark.parametrize("name", sorted(_BLOCK_GRIDS))
 def test_nan_node_gives_nan_densities(name):
     """A NaN node is in no mask of the kernel, so every density reads NaN,
-    as the cutoff of a NaN distance does."""
+    as the cutoff of a NaN distance does.  The NaN node lies in the first
+    node tile.  CP² lifts node by node, so there the node sums of later
+    tiles see it only through the transposed tile sums; the flat lifts are
+    measured from the nodes' mean, which the NaN node makes NaN."""
     make, r = _BLOCK_GRIDS[name]
     grid = make()
     xs, cs = grid.coords.reshape(-1, 4).copy(), grid.chart_ids.reshape(-1)
     w = quadrature_weights(grid).reshape(-1)
     grid.coords[3, 2, 1] = np.nan
+    assert 3 * grid.nv + 2 < density._TILE_ROWS < len(w)
     with np.errstate(invalid="ignore"):
-        got = density._densities(grid, xs[::7], cs[::7], w, r, r * r)
-    assert np.isnan(got).all()
+        for centres in ((xs[::7], cs[::7]), (None, None)):
+            assert np.isnan(density._densities(grid, *centres, w, r, r * r)).all()
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_GRIDS))
@@ -340,11 +350,34 @@ def test_calibrate_r0_matches_unblocked_copy(make, eps0):
         assert r0 < T4.injectivity_radius_bound / 2  # below the cap
 
 
+def test_calibrate_r0_forms_each_node_pair_once(monkeypatch):
+    """A flat 40x20 sphere is calibrated at the cap after two probes.  Each
+    probe sums the node densities over node tiles i <= j, at most
+    n (n + b) / 2 kernel entries, and 100 off-surface centres against the n
+    nodes; forming every node pair twice would take n^2 + 100 n a probe."""
+    grid = _BLOCK_GRIDS["flat-sphere"][0]()
+    n, b = grid.nu * grid.nv, density._TILE_ROWS
+    entries = []
+    sq_distances = grid.model.sq_distances
+
+    def counted(a, c):
+        d2 = sq_distances(a, c)
+        entries.append(d2.size)
+        return d2
+
+    monkeypatch.setattr(grid.model, "sq_distances", counted)
+    r0 = calibrate_r0(grid, eps0=0.1)
+    assert r0 == pytest.approx(np.sqrt(4 * np.pi * 0.8**2), rel=1e-3)  # the cap sqrt(area)
+    assert sum(entries) <= 2 * (n * (n + b) // 2 + 100 * n)
+
+
 def test_calibration_and_monitor_memory_is_bounded():
     """A flat 64x32 sphere: the whole-matrix evaluation peaked at about
-    320 MB; row blocks with the kernel written over their squared distances
-    keep the traced peak near 6 MB (5.7 MB measured; 16 MB when each block
-    formed distances and kernel as separate arrays)."""
+    320 MB; row blocks and node tiles with the kernel written over their
+    squared distances keep the traced peak near 5 MB (5.1 MB measured; the
+    calibration alone 4.5 MB, and 5.6 MB when its on-surface probe ran in
+    row blocks; 16 MB when each block formed distances and kernel as
+    separate arrays)."""
     grid = build_surface("round-sphere", C2, radius=1.0, nu=64, nv=32)
     tracemalloc.start()
     try:
