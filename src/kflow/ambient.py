@@ -9,7 +9,7 @@ of per-point ids that broadcasts against the batch shape, so callers never
 group points by chart.
 
 Every chart decision is the model's.  CP² has one chart rule,
-`FubiniStudyCP2.from_homogeneous`, shared by `exp`, the cp1 builders and
+`FubiniStudyCP2.from_homogeneous`, shared by `exp`, the perturbed-cp1 builder and
 `recharted`: a point keeps its chart while its coordinates there are within
 `transition_radius`, and otherwise takes its pivot chart.
 

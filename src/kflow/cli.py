@@ -30,7 +30,7 @@ from .density import (
     write_monitor,
 )
 from .diagnostics import summarize, write_series
-from .errors import CalibrationError, ConfigError, KflowError, check_kind
+from .errors import ConfigError, KflowError, check_kind
 from .flow import FlowConfig, run
 from .immersion import load_grid, save_grid
 from .surfaces import build_surface
@@ -64,6 +64,15 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _run_radius(resolved, initial):
+    """The kernel radius of a run: the configured density.r0, else
+    calibrate_r0 on the run's initial grid."""
+    density = resolved["density"]
+    if density["r0"] is not None:
+        return density["r0"]
+    return calibrate_r0(initial, density["eps0"], seed=resolved["seed"])
+
+
 def execute_run(resolved, out_dir: Path):
     """Run the flow for a resolved config and persist the run directory.
     Returns (result, monitor_report_or_None)."""
@@ -71,10 +80,8 @@ def execute_run(resolved, out_dir: Path):
     grid = build_grid(resolved, model)
     cfg = FlowConfig(**resolved["flow"])
     density = resolved["density"]
-    r0 = density["r0"]
-    if density["monitor"] and r0 is None:
-        # reads only the initial grid: fail before integrating a step
-        r0 = calibrate_r0(grid, density["eps0"], seed=resolved["seed"])
+    # reads only the initial grid: fail before integrating a step
+    r0 = _run_radius(resolved, grid) if density["monitor"] else None
     t_start = time.perf_counter()
     result = run(grid, cfg)
     runtime = time.perf_counter() - t_start
@@ -260,32 +267,30 @@ def cmd_density(run_dir, queries_path=None) -> int:
     import csv
 
     rows = []
-    if queries_path is None:
-        summary_path = run_dir / "summary.json"
-        r0 = None
-        if summary_path.exists():
-            with open(summary_path) as fh:
-                r0 = json.load(fh).get("monitor", {}).get("r0")
-        if r0 is None:
-            try:
-                r0 = calibrate_r0(states[0][0], resolved["density"]["eps0"], seed=resolved["seed"])
-            except CalibrationError as exc:
-                print(f"calibration failed: {exc}", file=sys.stderr)
-                return 1
-        report = monitor_regularity(states, r0, resolved["density"]["eps0"])
-        rows = [
-            {"x0_index": r.x0_index, "t0": r.t0, "r": r0, "t_used": r.t0 - r0 * r0, "phi": r.phi}
-            for r in report.rows
-        ]
-    else:
-        for i, q in enumerate(queries):
-            row = {"x0_index": i, "t0": q.t0, "r": q.r}
-            usable = [(g, t) for g, t in states if t <= q.t0 - q.r * q.r]
-            if not usable:
-                rows.append({**row, "t_used": "", "phi": "not-computable"})
-                continue
-            g, t = usable[-1]
-            rows.append({**row, "t_used": t, "phi": parabolic_density(g, t, q)})
+    failed = "calibration"
+    try:
+        if queries_path is None:
+            # the first snapshot is the initial grid, its floats round-tripped exactly
+            r0 = _run_radius(resolved, states[0][0])
+            failed = "density monitor"
+            report = monitor_regularity(states, r0, resolved["density"]["eps0"])
+            rows = [
+                {"x0_index": r.x0_index, "t0": r.t0, "r": r0, "t_used": r.t0 - r0 * r0, "phi": r.phi}
+                for r in report.rows
+            ]
+        else:
+            failed = "density query"
+            for i, q in enumerate(queries):
+                row = {"x0_index": i, "t0": q.t0, "r": q.r}
+                usable = [(g, t) for g, t in states if t <= q.t0 - q.r * q.r]
+                if not usable:
+                    rows.append({**row, "t_used": "", "phi": "not-computable"})
+                    continue
+                g, t = usable[-1]
+                rows.append({**row, "t_used": t, "phi": parabolic_density(g, t, q)})
+    except KflowError as exc:
+        print(f"{failed} failed: {exc}", file=sys.stderr)
+        return 1
     with open(run_dir / "density_report.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["x0_index", "t0", "r", "t_used", "phi"])
         w.writeheader()

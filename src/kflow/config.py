@@ -11,6 +11,7 @@ A setting is defined by the code that uses it.  `ambient.get_model` checks
 `model_params`; `surfaces.FAMILIES` holds each family's required model and
 builder, whose keyword defaults are the `surface.params` defaults (a tuple
 as a JSON list); `flow.FlowConfig` holds the `flow` defaults and checks;
+`density.check_kernel_radius` checks a configured `density.r0`;
 the grid build checks what needs the grid (an even longitude count on
 spheres).  Every failure is a ConfigError.
 """
@@ -23,6 +24,7 @@ import json
 import math
 
 from .ambient import get_model
+from .density import check_kernel_radius
 from .errors import ConfigError, check_kind
 from .flow import FlowConfig
 from .surfaces import FAMILIES
@@ -58,7 +60,7 @@ def resolve_run_config(doc: dict) -> dict:
         if doc[key] is None:
             raise ConfigError(f"config: missing required key {key!r}")
     model = doc["model"]
-    get_model(model, **doc["model_params"])
+    ambient = get_model(model, **doc["model_params"])
 
     surf = _merge("surface", doc["surface"], _SURFACE_DEFAULTS)
     family = surf["family"]
@@ -85,10 +87,14 @@ def resolve_run_config(doc: dict) -> dict:
         raise ConfigError(f"flow: {exc}") from exc
 
     density = _merge("density", doc["density"], _DENSITY_DEFAULTS)
-    if density["r0"] is not None:
+    if not density["eps0"] > 0:
+        raise ConfigError("density: eps0 must be positive")
+    if density["r0"] is not None:  # a null r0 is calibrated
         check_kind("density.r0", density["r0"], 0.0)
-    if not density["eps0"] > 0 or density["r0"] is not None and not density["r0"] > 0:
-        raise ConfigError("density: eps0 and r0 must be positive (a null r0 is calibrated)")
+        try:
+            check_kernel_radius(ambient, density["r0"])
+        except ValueError as exc:
+            raise ConfigError(f"density: {exc}") from exc
     return {**doc, "model_params": dict(doc["model_params"]), "surface": surf, "flow": flow,
             "density": density, "output_dir": str(doc["output_dir"])}
 

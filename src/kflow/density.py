@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import AmbientModel, ChartPoint
+from .diagnostics import three_point_weights
 from .errors import CalibrationError, CurvedModelError
 from .immersion import (
     SurfaceGrid,
@@ -60,18 +61,25 @@ class DensityQuery:
     r: float
 
 
+def _kernel_radius_cap(model: AmbientModel) -> float:
+    """Largest admissible kernel radius: the cutoff's support, the ball of
+    radius 2r, stays within the injectivity bound."""
+    return model.injectivity_radius_bound / 2.0
+
+
+def check_kernel_radius(model: AmbientModel, r) -> float:
+    """r as a float if it is an admissible kernel radius, finite and in
+    (0, b/2] for the model's injectivity bound b; ValueError otherwise."""
+    r, cap = float(r), _kernel_radius_cap(model)
+    if not (0.0 < r <= cap and np.isfinite(r)):
+        raise ValueError(f"kernel radius r = {r:g} must be finite and lie in (0, {cap:.4f}]")
+    return r
+
+
 def make_query(model: AmbientModel, x0: ChartPoint, t0: float, r: float) -> DensityQuery:
-    t0, r = float(t0), float(r)
     if x0.x.shape != (4,) or x0.chart_id not in range(model.n_charts):
         raise ValueError(f"x0 must be four coordinates in one of charts 0-{model.n_charts - 1}")
-    if not r > 0:
-        raise ValueError("kernel radius must be positive")
-    if not 2 * r < model.injectivity_radius_bound:
-        raise ValueError(
-            f"2r = {2 * r:.4f} must stay below the injectivity bound "
-            f"{model.injectivity_radius_bound:.4f}"
-        )
-    return DensityQuery(x0=x0, t0=t0, r=r)
+    return DensityQuery(x0=x0, t0=float(t0), r=check_kernel_radius(model, r))
 
 
 def cutoff(s, r):
@@ -170,7 +178,7 @@ def calibrate_r0(grid: SurfaceGrid, eps0: float, seed: int = 0) -> float:
     stage1 = compute_mean_curvature(grid)
     floor = 4.0 * float(max(stage1.hu.max(), stage1.hv.max()))
     area = integrate_scalar(grid, np.ones(grid.chart_ids.shape), stage1)
-    r_max = min(model.injectivity_radius_bound / 2.0, float(np.sqrt(area)))
+    r_max = min(_kernel_radius_cap(model), float(np.sqrt(area)))
     if r_max <= floor:
         raise CalibrationError(
             f"admissible radius range ({floor:.4f}, {r_max:.4f}) is empty"
@@ -283,6 +291,7 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
         raise CurvedModelError(
             "the density derivative identity is exact only in flat ambients"
         )
+    wp, wm, wn = three_point_weights(tp, tm, tn)
     r = query.r
     tau = r * r
     x0, c0 = query.x0.x[None], [query.x0.chart_id]
@@ -295,12 +304,7 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
     dm = np.sqrt(d2[0])
     heat = _gaussian_in_place(d2[0].copy(), None, tau)
     kernel = _gaussian_in_place(d2[0], r, tau)
-    h1, h2 = tm - tp, tn - tm
-    dphi_dt = (
-        -h2 / (h1 * (h1 + h2)) * phi_p
-        + (h2 - h1) / (h1 * h2) * (kernel @ w)
-        + h1 / (h2 * (h1 + h2)) * phi_n
-    )
+    dphi_dt = wp * phi_p + wm * (kernel @ w) + wn * phi_n
     H = stage1.H.reshape(-1, 4)
     rel = gm.coords.reshape(-1, 4) - query.x0.x  # position relative to X0 (flat chart)
     if hasattr(model, "min_image"):

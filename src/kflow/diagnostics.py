@@ -206,6 +206,15 @@ def summarize(series, R: float) -> SeriesSummary:
 # -- pointwise evolution residual -----------------------------------------
 
 
+def three_point_weights(tp, tm, tn):
+    """Weights (wp, wm, wn) of the central difference wp f(tp) + wm f(tm) +
+    wn f(tn) for df/dt at tm, second order on nonuniform steps."""
+    h1, h2 = tm - tp, tn - tm
+    if h1 <= 0 or h2 <= 0:
+        raise ValueError("snapshot times must be strictly increasing")
+    return -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))
+
+
 def evolution_residual(
     prev: tuple[SurfaceGrid, float],
     mid: tuple[SurfaceGrid, float],
@@ -222,19 +231,10 @@ def evolution_residual(
     Returns (residual_field, max_norm, l2_norm).
     """
     (gp, tp), (gm, tm), (gn, tn) = prev, mid, nxt
-    h1 = tm - tp
-    h2 = tn - tm
-    if h1 <= 0 or h2 <= 0:
-        raise ValueError("snapshot times must be strictly increasing")
-    geom_p = compute_geometry(gp)
+    wp, wm, wn = three_point_weights(tp, tm, tn)
     geom_m = compute_geometry(gm)
-    geom_n = compute_geometry(gn)
-    ca_p, ca_m, ca_n = geom_p.cos_alpha, geom_m.cos_alpha, geom_n.cos_alpha
-    dcos_dt = (
-        -h2 / (h1 * (h1 + h2)) * ca_p
-        + (h2 - h1) / (h1 * h2) * ca_m
-        + h1 / (h2 * (h1 + h2)) * ca_n
-    )
+    ca_m = geom_m.cos_alpha
+    dcos_dt = wp * compute_geometry(gp).cos_alpha + wm * ca_m + wn * compute_geometry(gn).cos_alpha
     lap = laplace_beltrami(gm, ca_m, geom_m)
     lam = gm.model.einstein_constant
     rhs = geom_m.nablaJ_sq * ca_m + lam * (1.0 - ca_m**2) * ca_m

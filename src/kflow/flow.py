@@ -33,14 +33,12 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
 from .errors import ConfigError, DegenerateImmersionError, check_kind
-from .immersion import MeanCurvature, SurfaceGrid, compute_geometry, compute_mean_curvature
+from .immersion import MeanCurvature, SurfaceGrid, compute_geometry, compute_mean_curvature, d2_symbol
 
 # Largest |z| (real-axis) with |R(z)| <= 1 for classical RK4.
 _RK4_REAL_LIMIT = 2.785
 # Fraction of the stability budget the zonal filter allows a kept mode.
 _FILTER_SAFETY = 0.75
-# Symbol of the 7-point second-difference stencil at angle theta per mode.
-_D2_SYMBOL = lambda th: (490.0 - 540.0 * np.cos(th) + 54.0 * np.cos(2 * th) - 4.0 * np.cos(3 * th)) / 180.0
 
 
 @dataclass(frozen=True)
@@ -107,19 +105,20 @@ def _zonal_filter(grid: SurfaceGrid, vel: MeanCurvature, dt: float):
     - keep_mask: boolean (nu//2 + 1, nv) rfft-mode mask for the velocity;
       modes whose frozen-row diffusion rate would exceed the explicit RK4
       stability budget at this dt are dropped from the explicit update.
-    - rate: the frozen-row diffusion rate estimate for every mode (used by
-      the exponential step for the dropped modes), or None with mask None.
+    - rate: the frozen-row diffusion rate estimate for every mode, `d2_symbol`
+      times the row's largest g^uu / du^2 (used by the exponential step for
+      the dropped modes), or None with mask None.
 
     Rows spanning several charts sit in the stable band and are skipped.
     """
     if grid.topology != "sphere":
         return None, None
     nu = grid.nu
-    a_row = vel.ginv[..., 0, 0].max(axis=0) / grid.du**2  # stiffest u-coefficient
-    c_row = vel.ginv[..., 1, 1].max(axis=0) / grid.dv**2 * _D2_SYMBOL(np.pi)
+    a_row = vel.inv[0].max(axis=0) / grid.du**2  # stiffest u-coefficient
+    c_row = vel.inv[2].max(axis=0) / grid.dv**2 * d2_symbol(np.pi)
     k = np.arange(nu // 2 + 1)
     budget = _FILTER_SAFETY * _RK4_REAL_LIMIT / dt
-    rate = a_row[None, :] * _D2_SYMBOL(k * grid.du)[:, None]
+    rate = a_row[None, :] * d2_symbol(k * grid.du)[:, None]
     keep = rate + c_row[None, :] <= budget
     mixed = (grid.chart_ids != grid.chart_ids[:1]).any(axis=0)
     keep[:, mixed] = True
@@ -222,7 +221,6 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
             vel = compute_mean_curvature(state.grid)
     except DegenerateImmersionError:
         stop = "degenerate-grid"
-    gap = None
-    if stop in ("converged", "reached-t-end"):  # geom is then the final state's
-        gap = float(np.max(np.abs(1.0 - geom.cos_alpha)))
+    # a run that converged or reached t_end ends on a record of its final state
+    gap = 1.0 - records[-1].min_cos_alpha if stop in ("converged", "reached-t-end") else None
     return FlowResult(records, snapshots, stop, state, holomorphicity_gap=gap)

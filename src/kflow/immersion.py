@@ -54,9 +54,20 @@ TWO_PI = 2.0 * np.pi
 # the nominal scheme so that quadrature of FD-derived area elements meets the
 # 1e-6 integral tolerances at production grids.
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+_D2_NUM, _D2_DEN = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]), 180.0
+_D2 = _D2_NUM / _D2_DEN
 _OFFS = (-3, -2, -1, 0, 1, 2, 3)
 _G = 3  # ghost width: the half-width of the 7-point stencils
+
+
+def d2_symbol(theta):
+    """The factor by which minus the D2 stencil, times h^2, scales a mode of
+    phase theta per node: (490 - 540 cos theta + 54 cos 2 theta - 4 cos 3
+    theta) / 180, summed in that order from the stencil's numerators."""
+    s = -_D2_NUM[_G]
+    for k in range(1, _G + 1):
+        s = s - 2.0 * _D2_NUM[_G + k] * np.cos(k * theta)
+    return s / _D2_DEN
 
 
 @dataclass
@@ -72,6 +83,10 @@ class SurfaceGrid:
     def __post_init__(self):
         self.chart_ids = np.asarray(self.chart_ids, dtype=int)
         self.coords = np.asarray(self.coords, dtype=float)
+        nodes = self.coords.shape[:2]
+        if self.coords.shape != nodes + (4,) or self.chart_ids.shape != nodes:
+            raise ValueError(f"coords {self.coords.shape} and chart ids {self.chart_ids.shape} "
+                             "do not have the shapes (nu, nv, 4) and (nu, nv)")
         if self.topology not in ("torus", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "sphere" and self.nu % 2 != 0:
@@ -212,8 +227,8 @@ NONDEGENERACY_FLOOR = 1e-6
 class MeanCurvature:
     """Stage 1 of a grid's geometry, as (nu, nv, ...) arrays: what the
     stepper, the quadrature and the density layer need.  Only the partials
-    and the metric entries are formed at once; T, H, the matrices and the
-    spacings follow on first read, and the quadrature reads neither T nor H."""
+    and the metric entries are formed at once; T, H, the inverse's entries
+    and the spacings follow on first read; the quadrature reads neither T nor H."""
 
     grid: SurfaceGrid
     Fu: np.ndarray
@@ -237,7 +252,7 @@ class MeanCurvature:
     def H(self):
         """(nu, nv, 4) mean curvature vector, g^ab T_ab minus its tangential
         part: the flow velocity."""
-        (i11, i12, i22), T = self._inv, self.T
+        (i11, i12, i22), T = self.inv, self.T
         model, x, Fu, Fv = self.grid.model, self.grid.coords, self.Fu, self.Fv
         Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
         pu, pv = model.inner(x, Htr, Fu), model.inner(x, Htr, Fv)
@@ -249,17 +264,9 @@ class MeanCurvature:
         return self.grid.model.inner(self.grid.coords, self.H, self.H)
 
     @cached_property
-    def _inv(self):
+    def inv(self):
         """The inverse metric's entries (g^uu, g^uv, g^vv)."""
         return self.g22 / self.det, -self.g12 / self.det, self.g11 / self.det
-
-    @cached_property
-    def g(self):
-        return _sym2(self.g11, self.g12, self.g22)
-
-    @cached_property
-    def ginv(self):
-        return _sym2(*self._inv)
 
     @cached_property
     def sqrtg(self):
@@ -268,11 +275,11 @@ class MeanCurvature:
     @property
     def hu(self):
         """Effective spacing du / sqrt(g^uu) (hv likewise)."""
-        return self.grid.du / np.sqrt(self._inv[0])
+        return self.grid.du / np.sqrt(self.inv[0])
 
     @property
     def hv(self):
-        return self.grid.dv / np.sqrt(self._inv[2])
+        return self.grid.dv / np.sqrt(self.inv[2])
 
 
 @dataclass(frozen=True)
@@ -294,21 +301,12 @@ class GridGeometry:
     A_sq: np.ndarray
 
     @property
-    def g(self):
-        return self.stage1.g
-
-    @property
-    def ginv(self):
-        return self.stage1.ginv
+    def inv(self):
+        return self.stage1.inv
 
     @property
     def sqrtg(self):
         return self.stage1.sqrtg
-
-
-def _sym2(a, b, c):
-    """The symmetric 2x2 matrices [[a, b], [b, c]]."""
-    return np.stack([a, b, b, c], axis=-1).reshape(a.shape + (2, 2))
 
 
 def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
@@ -365,7 +363,7 @@ def _second_fundamental(model, x, stage1: MeanCurvature, e1, e2, v1, v2):
     """h[alpha, i, j] in the frame (e1, e2, v1, v2), H, |H|^2, cos(alpha),
     sin^2(alpha), |nabla J|^2 and |A|^2 (the order of the GridGeometry
     fields), by explicit per-node 2x2 algebra on (nu, nv) planes."""
-    i11, i12, i22 = stage1._inv
+    i11, i12, i22 = stage1.inv
     # e_i = C[a, i] F_a with C = g^-1 M, M[a, i] = <F_a, e_i>; C[i] is the
     # column (C[u, i], C[v, i])
     M = [(model.inner(x, stage1.Fu, e), model.inner(x, stage1.Fv, e)) for e in (e1, e2)]
@@ -437,8 +435,9 @@ def laplace_beltrami(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | 
         geom = compute_mean_curvature(grid)
     fu = field_deriv(grid, f, axis=0)
     fv = field_deriv(grid, f, axis=1)
-    wu = geom.sqrtg * (geom.ginv[..., 0, 0] * fu + geom.ginv[..., 0, 1] * fv)
-    wv = geom.sqrtg * (geom.ginv[..., 1, 0] * fu + geom.ginv[..., 1, 1] * fv)
+    i11, i12, i22 = geom.inv
+    wu = geom.sqrtg * (i11 * fu + i12 * fv)
+    wv = geom.sqrtg * (i12 * fu + i22 * fv)
     div = field_deriv(grid, wu, axis=0) + field_deriv(grid, wv, axis=1, pole_parity=-1)
     return div / geom.sqrtg
 

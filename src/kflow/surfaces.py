@@ -6,10 +6,10 @@ Each builder returns a SurfaceGrid.  Conventions:
   (the grid closes up to a fixed ambient translation per parameter period);
 * torus graphs live in the flat 4-torus, as lifts closed by 2pi e1, 2pi e2;
 * round spheres sit in the (x1, y1, x2) slice of flat C^2;
-* cp1 is a degree-1 holomorphic curve in CP^2, parametrized so that its
-  Kähler angle satisfies cos(alpha) = +1;
-* perturbed_cp1 adds a smooth non-holomorphic displacement of amplitude
-  delta and zonal frequency m.  A graph over a fixed unit normal field is
+* perturbed_cp1 is a degree-1 holomorphic curve in CP^2, parametrized so
+  that its Kähler angle satisfies cos(alpha) = +1, plus a smooth
+  non-holomorphic displacement of amplitude delta and zonal frequency m;
+  delta = 0 gives the line itself.  A graph over a fixed unit normal field is
   not usable here: the normal bundle of a line in CP^2 has Euler number 1,
   so no smooth global unit normal exists.  The perturbation is instead the
   algebraic one Z2 += delta * Z0 (Z1 conj(Z0) / |Z|^2)^m, which is smooth on
@@ -114,17 +114,6 @@ def round_sphere(
     )
 
 
-def cp1(
-    model: FubiniStudyCP2, line_coeffs=(0.0, 0.0), nu=64, nv=32
-) -> SurfaceGrid:
-    """Degree-1 holomorphic curve [Z0 : Z1 : c Z0 + d Z1] in CP^2.
-
-    Default (c, d) = (0, 0) is the standard line {Z2 = 0}.  The orientation
-    of the parametrization gives cos(alpha) = +1.
-    """
-    return _cp1_grid(model, line_coeffs, 0.0, 0, nu, nv)
-
-
 def perturbed_cp1(
     model: FubiniStudyCP2,
     delta=0.05,
@@ -133,12 +122,10 @@ def perturbed_cp1(
     nu=64,
     nv=32,
 ) -> SurfaceGrid:
-    """Near-holomorphic sphere: the cp1 line with a smooth non-holomorphic
-    displacement of amplitude delta and zonal frequency m."""
-    return _cp1_grid(model, line_coeffs, delta, frequency, nu, nv)
-
-
-def _cp1_grid(model, line_coeffs, delta, m, nu, nv):
+    """Degree-1 holomorphic curve [Z0 : Z1 : c Z0 + d Z1] in CP^2, (c, d) =
+    (0, 0) being the standard line {Z2 = 0}, plus a smooth non-holomorphic
+    displacement of Z2 of amplitude delta and zonal frequency m = `frequency`.
+    The orientation of the parametrization gives the curve cos(alpha) = +1."""
     c, d = complex(line_coeffs[0]), complex(line_coeffs[1])
     uu, vv = _param_grid(nu, nv, "sphere")
     Z0 = np.cos(vv / 2).astype(complex)
@@ -146,7 +133,7 @@ def _cp1_grid(model, line_coeffs, delta, m, nu, nv):
     Z2 = c * Z0 + d * Z1
     if delta != 0.0:
         # |Z0|^2 + |Z1|^2 = 1 on this parametrization
-        Z2 = Z2 + delta * Z0 * (Z1 * np.conj(Z0)) ** m
+        Z2 = Z2 + delta * Z0 * (Z1 * np.conj(Z0)) ** frequency
     Z = np.stack([Z0, Z1, Z2], axis=-1)
     coords, chart_ids = model.from_homogeneous(Z)
     return SurfaceGrid(
@@ -160,7 +147,6 @@ FAMILIES = {
     "plane": (plane, "flat-C2"),
     "torus-graph": (torus_graph, "flat-T4"),
     "round-sphere": (round_sphere, "flat-C2"),
-    "cp1": (cp1, "Fubini-Study-CP2"),
     "perturbed-cp1": (perturbed_cp1, "Fubini-Study-CP2"),
 }
 

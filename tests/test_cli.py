@@ -102,7 +102,7 @@ class TestResolve:
 
     def test_family_model_compatibility(self):
         doc = _base_config("out")
-        doc["surface"]["family"] = "cp1"
+        doc["surface"]["family"] = "perturbed-cp1"
         doc["surface"]["params"] = {}
         with pytest.raises(ConfigError, match="requires model"):
             resolve_run_config(doc)
@@ -245,13 +245,20 @@ class TestRunCommand:
             lambda d: d["flow"].update(snapshot_stride="5"),
             # a negative radius would give a kernel without a cutoff
             lambda d: d.update(density={"r0": -0.5}),
+            # a cutoff band (5, 10] beyond every CP2 distance, and no band at all
+            lambda d: d.update(
+                model="Fubini-Study-CP2",
+                surface={"family": "perturbed-cp1", "nu": 16, "nv": 8},
+                density={"r0": 5.0, "monitor": True},
+            ),
+            lambda d: d.update(density={"r0": float("inf")}),
             # a run that can never converge, and one flagged at t = 0
             lambda d: d["flow"].update(converged_H_tol=-1.0),
             lambda d: d["flow"].update(converged_H_tol=float("nan")),
             lambda d: d["flow"].update(blowup_threshold=-5.0),
         ],
         ids=["odd-nu-sphere", "zero-period", "lattice-cannot-close", "string-stride",
-             "negative-r0", "negative-H-tol", "nan-H-tol", "negative-blowup"],
+             "negative-r0", "cp2-r0-beyond-cap", "infinite-r0", "negative-H-tol", "nan-H-tol", "negative-blowup"],
     )
     def test_bad_values_exit_1_with_config_error(self, tmp_path, capsys, mutate):
         out = tmp_path / "bad-run"
@@ -343,6 +350,28 @@ class TestDensityCommand:
         assert set(rows[0]) == {"x0_index", "t0", "r", "t_used", "phi"}
         assert all(float(r["phi"]) < 1.1 for r in rows)
 
+    def _report_radii(self, run_dir):
+        assert main(["density", str(run_dir)]) == 0
+        with open(run_dir / "density_report.csv") as fh:
+            return {float(row["r"]) for row in csv.DictReader(fh)}
+
+    def test_configured_r0_without_the_monitor(self, tmp_path):
+        out = tmp_path / "r0"
+        doc = _base_config(out, snapshot_stride=5)
+        doc["density"] = {"monitor": False, "r0": 0.3}
+        assert main(["run", _write(tmp_path / "cfg.json", doc)]) == 0
+        assert self._report_radii(out) == {0.3}
+
+    def test_monitored_radius_is_the_run_radius(self, tmp_path):
+        """The report recalibrates on the first snapshot, which is the
+        initial grid, and gets the r0 the monitored run recorded."""
+        out = tmp_path / "mon"
+        doc = _base_config(out, snapshot_stride=5)
+        doc["density"] = {"monitor": True}
+        assert main(["run", _write(tmp_path / "cfg.json", doc)]) == 0
+        r0 = json.loads((out / "summary.json").read_text())["monitor"]["r0"]
+        assert self._report_radii(out) == {r0}
+
     def test_explicit_queries_with_uncomputable_row(self, run_dir, tmp_path):
         queries = [
             {"x0": [0.0, 0.0, 1.0, 0.0], "chart": 0, "t0": 0.05, "r": 0.1},
@@ -398,8 +427,12 @@ class TestDensityCommand:
             lambda d: d.pop("period_offsets"),
             # flat-T4 has one chart
             lambda d: d["chart_ids"][0].__setitem__(0, 1),
+            # shapes that disagree with (nu, nv, 4) coordinates
+            lambda d: [node.pop() for row in d["coords"] for node in row],
+            lambda d: [row.pop() for row in d["chart_ids"]],
         ],
-        ids=["unknown-format", "t4-torus-without-offsets", "t4-chart-id-1"],
+        ids=["unknown-format", "t4-torus-without-offsets", "t4-chart-id-1",
+             "three-coordinates", "chart-id-column-dropped"],
     )
     def test_unreadable_snapshot_exits_1_without_report(self, tmp_path, capsys, mutate):
         out = tmp_path / "t4"
@@ -438,12 +471,35 @@ class TestDensityCommand:
             "output_dir": str(out),
         }
         assert main(["run", _write(tmp_path / "uncal.json", doc)]) == 0
-        capsys.readouterr()
-        assert main(["density", str(out)]) == 1
+        # a first snapshot collapsed to a point has no geometry to calibrate
+        collapsed = tmp_path / "collapsed"
+        assert main(["run", _write(tmp_path / "c.json", _base_config(collapsed))]) == 0
+        snap = collapsed / "snapshots" / "t_0.json"
+        snap_doc = json.loads(snap.read_text())
+        snap_doc["coords"] = np.zeros((16, 8, 4)).tolist()
+        snap.write_text(json.dumps(snap_doc))
+        for run_dir in (out, collapsed):
+            capsys.readouterr()
+            assert main(["density", str(run_dir)]) == 1
+            err = capsys.readouterr().err
+            assert "calibration failed" in err
+            assert "Traceback" not in err
+            assert not (run_dir / "density_report.csv").exists()
+
+    @pytest.mark.parametrize("queries", [False, True], ids=["monitor", "queries"])
+    def test_degenerate_snapshot_fails_without_report(self, run_dir, tmp_path, capsys, queries):
+        snap = run_dir / "snapshots" / "t_1.json"
+        snap_doc = json.loads(snap.read_text())
+        snap_doc["coords"] = np.zeros((16, 8, 4)).tolist()
+        snap.write_text(json.dumps(snap_doc))
+        argv = ["density", str(run_dir)]
+        if queries:  # t_1, the last snapshot, lies before t0 - r^2
+            q = {"x0": [0.0, 0.0, 1.0, 0.0], "chart": 0, "t0": snap_doc["t"] + 0.02, "r": 0.1}
+            argv += ["--queries", _write(tmp_path / "q.json", [q])]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "calibration failed" in err
-        assert "Traceback" not in err
-        assert not (out / "density_report.csv").exists()
+        assert f"density {'query' if queries else 'monitor'} failed" in err and "Traceback" not in err
+        assert not (run_dir / "density_report.csv").exists()
 
 
 def test_verify_quick_battery_passes(capsys):

@@ -152,6 +152,10 @@ def test_make_query_validation():
         make_query(C2, x0, t0=1.0, r=0.0)
     with pytest.raises(ValueError):
         make_query(CP2, x0, t0=1.0, r=0.8)  # 2r exceeds injectivity bound
+    with pytest.raises(ValueError):
+        make_query(C2, x0, t0=1.0, r=np.inf)
+    # calibrate_r0's cap on CP2, the r0 of the shipped perturbed-cp1 run
+    assert make_query(CP2, x0, t0=1.0, r=0.75).r == 0.75
     q = make_query(CP2, x0, t0=1.0, r=0.5)
     assert q.r == 0.5
 
@@ -424,7 +428,7 @@ def test_extinction_center_density_peaks_at_4_over_e():
 
 class TestDerivativeIdentity:
     def test_curved_model_rejected(self):
-        grid = build_surface("cp1", CP2, nu=16, nv=8)
+        grid = build_surface("perturbed-cp1", CP2, delta=0.0, nu=16, nv=8)
         q = DensityQuery(x0=ChartPoint(0, np.zeros(4)), t0=1.0, r=0.5)
         with pytest.raises(CurvedModelError):
             density_derivative_check((grid, 0.0), (grid, 0.01), (grid, 0.02), q)
