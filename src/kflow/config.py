@@ -120,6 +120,9 @@ def resolve_sweep_spec(doc: dict) -> dict:
     if not spec["eps0"] > 0:
         raise ConfigError(f"sweep: eps0 must be positive, not {spec['eps0']!r}")
     base = resolve_run_config(spec["base"])
+    for key in ("eps0", "monitor"):  # every sweep run monitors at the sweep's eps0
+        if key in spec["base"].get("density", {}):
+            raise ConfigError(f"sweep: base density.{key} is set by the sweep; remove it from the base")
     if base["surface"]["family"] != "perturbed-cp1":
         raise ConfigError("sweep: base surface family must be perturbed-cp1")
     spec["base"] = base

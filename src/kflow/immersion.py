@@ -13,9 +13,11 @@ along u or v (`_taps`), so no shifted copy of the grid is made.
 `grid_partials` makes three per lift: [D1; D2] along u gives Fu and Fuu;
 D1 along v over every padded row gives V, whose node rows are Fv and whose
 u-taps give Fuv (the mixed stencil is separable); D2 along v gives Fvv.
-`field_deriv` uses the same views.  On curved models the coordinates are
-first lifted into every chart that occurs, and each node differences the
-lift into its own chart, so grids may span several charts.
+On curved models the coordinates are first lifted into every chart that
+occurs, and each node differences the lift into its own chart, so grids may
+span several charts.  The surface Laplacian g^ab (f_ab - Gamma^c_ab f_c)
+takes a scalar's partials from the same contractions, and the trace
+Gamma^c = g^ab Gamma^c_ab from stage 1, which splits it off g^ab T_ab with H.
 
 Flat models additionally support quasi-periodic grids (period_offsets): the
 surface closes up to a fixed ambient translation per parameter period.  This
@@ -133,13 +135,14 @@ class SurfaceGrid:
         )
 
 
-def _pad(grid: SurfaceGrid, x, parity=1, offsets=None):
+def _pad(grid: SurfaceGrid, x, offsets=None):
     """Nodal array (nu, nv, ...) with _G ghost nodes on each side of both
     axes, the v ghosts filled first.
 
-    Sphere ghosts in v reflect across the pole with a half-turn in u and are
-    multiplied by `parity`; torus ghosts are periodic.  `offsets` (2, 4)
-    shift the ghosts of a quasi-periodic grid, the u offset first.
+    Sphere ghosts in v are the nodes across the pole, half a turn away in u:
+    the same surface points, so every nodal field pads unchanged.  Torus
+    ghosts are periodic; `offsets` (2, 4) shift the ghosts of a
+    quasi-periodic grid, the u offset first.
     """
     nu, nv, g = grid.nu, grid.nv, _G
     shift = lambda k, n, axis: 0.0 if offsets is None else (k // n) * offsets[axis]
@@ -147,7 +150,7 @@ def _pad(grid: SurfaceGrid, x, parity=1, offsets=None):
     P[g:-g, g:-g] = x
     for j in (*range(-g, 0), *range(nv, nv + g)):
         if grid.topology == "sphere":
-            P[g:-g, g + j] = parity * np.roll(x[:, -1 - j if j < 0 else 2 * nv - 1 - j], nu // 2, axis=0)
+            P[g:-g, g + j] = np.roll(x[:, -1 - j if j < 0 else 2 * nv - 1 - j], nu // 2, axis=0)
         else:
             P[g:-g, g + j] = x[:, j % nv] + shift(j, nv, 1)
     for i in (*range(-g, 0), *range(nu, nu + g)):
@@ -208,16 +211,6 @@ def grid_partials(grid: SurfaceGrid):
     return out
 
 
-def field_deriv(grid: SurfaceGrid, f, axis, pole_parity=1):
-    """6th-order (7-point) derivative of a scalar field wrt the parameter on
-    `axis`.  pole_parity = -1 flips the sign of the ghost values reflected
-    across a pole (v-components of vector densities on sphere grids)."""
-    P = _pad(grid, np.asarray(f, dtype=float), parity=pole_parity)
-    nodes = P[:, _G:-_G] if axis == 0 else P[_G:-_G]
-    h = grid.du if axis == 0 else grid.dv
-    return np.einsum("k,kij->ij", _D1 / h, _taps(nodes, axis))
-
-
 # Smallest admissible length of a frame vector before normalization, and of
 # the square root of the smaller eigenvalue of the induced metric.
 NONDEGENERACY_FLOOR = 1e-6
@@ -249,15 +242,20 @@ class MeanCurvature:
         return self.F2
 
     @cached_property
-    def H(self):
-        """(nu, nv, 4) mean curvature vector, g^ab T_ab minus its tangential
-        part: the flow velocity."""
+    def _trace(self):
+        """g^ab T_ab = H + Gamma^u Fu + Gamma^v Fv split into (H, (Gamma^u,
+        Gamma^v)): the normal part, and the trace Gamma^c = g^ab Gamma^c_ab of
+        the induced Christoffel symbols, the tangential part's coordinates."""
         (i11, i12, i22), T = self.inv, self.T
         model, x, Fu, Fv = self.grid.model, self.grid.coords, self.Fu, self.Fv
         Htr = i11[..., None] * T[0] + 2 * i12[..., None] * T[1] + i22[..., None] * T[2]
         pu, pv = model.inner(x, Htr, Fu), model.inner(x, Htr, Fv)
         cu, cv = i11 * pu + i12 * pv, i12 * pu + i22 * pv
-        return Htr - cu[..., None] * Fu - cv[..., None] * Fv
+        return Htr - cu[..., None] * Fu - cv[..., None] * Fv, (cu, cv)
+
+    @property
+    def H(self):  # (nu, nv, 4) mean curvature vector: the flow velocity
+        return self._trace[0]
 
     @cached_property
     def H_norm_sq(self):
@@ -299,10 +297,6 @@ class GridGeometry:
     sin_sq_alpha: np.ndarray  # from the normal components of J e1: no cancellation
     nablaJ_sq: np.ndarray
     A_sq: np.ndarray
-
-    @property
-    def inv(self):
-        return self.stage1.inv
 
     @property
     def sqrtg(self):
@@ -429,17 +423,17 @@ def nabla_J_squared(h):
 
 
 def laplace_beltrami(grid: SurfaceGrid, f, geom: MeanCurvature | GridGeometry | None = None):
-    """Surface Laplacian (1/sqrt g) d_a (sqrt g g^{ab} d_b f) of a nodal
-    scalar field."""
+    """Surface Laplacian g^ab (d_a d_b f - Gamma^c_ab d_c f) of a nodal
+    scalar field.  The five partials of f come from one padded copy of f
+    through the stencils of `grid_partials`; Gamma^c = g^ab Gamma^c_ab is
+    stage 1's, the tangential part of g^ab T_ab that H drops."""
     if geom is None:
         geom = compute_mean_curvature(grid)
-    fu = field_deriv(grid, f, axis=0)
-    fv = field_deriv(grid, f, axis=1)
-    i11, i12, i22 = geom.inv
-    wu = geom.sqrtg * (i11 * fu + i12 * fv)
-    wv = geom.sqrtg * (i12 * fu + i22 * fv)
-    div = field_deriv(grid, wu, axis=0) + field_deriv(grid, wv, axis=1, pole_parity=-1)
-    return div / geom.sqrtg
+    stage1 = geom.stage1 if isinstance(geom, GridGeometry) else geom
+    P = _pad(grid, np.asarray(f, dtype=float)[..., None])
+    fu, fv, fuu, fuv, fvv = (d[..., 0] for d in _lift_partials(P, grid.du, grid.dv))
+    (i11, i12, i22), (_, (cu, cv)) = stage1.inv, stage1._trace
+    return i11 * fuu + 2 * i12 * fuv + i22 * fvv - cu * fu - cv * fv
 
 
 @lru_cache

@@ -139,6 +139,12 @@ class TestResolve:
         for eps0 in (0, -0.5, float("nan")):
             with pytest.raises(ConfigError, match="eps0"):
                 resolve_sweep_spec({"base": base, "deltas": [0.01], "eps0": eps0})
+        # every sweep run monitors at the sweep's eps0: a base may not set either
+        for density in ({"eps0": 0.3}, {"monitor": False}, {"eps0": 0.3, "monitor": False}):
+            with pytest.raises(ConfigError, match=f"density.{min(density)}"):
+                resolve_sweep_spec({"base": {**base, "density": density}, "deltas": [0.01]})
+        spec = resolve_sweep_spec({"base": {**base, "density": {"r0": 0.5}}, "deltas": [0.01]})
+        assert spec["base"]["density"]["r0"] == 0.5
 
     @pytest.mark.parametrize("spec", [{"deltas": "0.1"}, {"deltas": []}, {"eps0": 0}])
     def test_malformed_sweep_spec_exits_1(self, tmp_path, capsys, spec):

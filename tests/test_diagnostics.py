@@ -81,6 +81,16 @@ class TestRecord:
         assert rec.supA == pytest.approx(np.sqrt(2) / 0.5, abs=1e-4)
         assert rec.L2H == pytest.approx((2 / 0.5) ** 2 * np.pi, rel=1e-5)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.1])
+    def test_perturbed_cp1_symplectic_area_is_pi(self, delta):
+        """Symplectic area is cohomological: pi for every degree-1 curve,
+        perturbed or not.  The defect falls at order 5 or more."""
+        defects = [
+            abs(record(build_surface("perturbed-cp1", CP2, delta=delta, nu=nu, nv=nu // 2), t=0.0).symp_area - np.pi)
+            for nu in (32, 64, 128)
+        ]
+        assert min(np.log2(np.divide(defects[:-1], defects[1:]))) >= 5, defects
+
     def test_V_keeps_its_precision_near_holomorphic(self):
         """V = int sin^2(a)/cos(a) is O(delta^2) on perturbed-cp1; formed from
         sin^2(a) directly, V/delta^2 does not lose digits as delta shrinks."""
@@ -174,17 +184,27 @@ class TestEvolutionResidual:
         with pytest.raises(ValueError):
             evolution_residual((grid, 0.0), (grid, 0.0), (grid, 0.01))
 
-    def test_flow_snapshots_give_small_residual(self):
-        grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=32, nv=16)
+    @staticmethod
+    def _two_steps(nu, nv):
+        """Residual of perturbed cp1 after two flow steps."""
+        grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=nu, nv=nv)
         cfg = FlowConfig(t_end=1.0)
         s0 = FlowState(grid=grid.copy(), t=0.0, step_index=0)
         s1 = step(s0, cfg)
         s2 = step(s1, cfg)
-        _, mx, _ = evolution_residual(
-            (s0.grid, s0.t), (s1.grid, s1.t), (s2.grid, s2.t)
-        )
+        return evolution_residual((s0.grid, s0.t), (s1.grid, s1.t), (s2.grid, s2.t))
+
+    def test_flow_snapshots_give_small_residual(self):
+        _, mx, _ = self._two_steps(32, 16)
         assert np.isfinite(mx)
         assert mx < 0.1  # discretization level at this coarse grid
+
+    def test_polar_rows_read_like_the_interior(self):
+        """The three latitude rows next to each pole are differenced across
+        it; their residual stays within 5x of the interior's."""
+        res = np.abs(self._two_steps(64, 32)[0])
+        polar = max(res[:, :3].max(), res[:, -3:].max())
+        assert polar <= 5 * res[:, 3:-3].max()
 
 
 def test_series_roundtrip(tmp_path):
