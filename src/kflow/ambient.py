@@ -126,10 +126,6 @@ class AmbientModel:
         """(riemann R_{abcd}, ricci, scalar) at each point of the batch."""
         raise NotImplementedError
 
-    def symplectic_form(self, x):
-        """omega_{ab} = g(J e_a, e_b)."""
-        return np.einsum("ca,...cb->...ab", J_STANDARD, self.metric(x))
-
     # -- geodesics --------------------------------------------------------
 
     def exp(self, x, chart, v):
@@ -187,7 +183,7 @@ class _FlatModel(AmbientModel):
         return 0.0
 
     def connection(self, x, u, w):
-        return 0.0
+        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(w)))
 
     def inner(self, x, u, w):
         return _dot(u, w)

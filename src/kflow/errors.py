@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the kind check of the
 values a run config supplies."""
 
+import math
 import numbers
 
 
@@ -32,9 +33,9 @@ class ConfigError(KflowError):
 def check_kind(where, value, default):
     """Raise ConfigError unless `value` has the JSON kind of `default`: an
     object, a boolean, or a list of as many entries of its entries' kinds;
-    an integer for an int default and a number for any other (a boolean is
-    neither), so a required field with no default value asks for a number.
-    A None default takes anything."""
+    an integer for an int default and a finite number for any other (a
+    boolean is neither, nor is NaN or an infinity), so a required field with
+    no default value asks for a number.  A None default takes anything."""
     if isinstance(default, list):
         if not isinstance(value, list) or len(value) != len(default):
             raise ConfigError(f"{where} must be a list of {len(default)} numbers, not {value!r}")
@@ -46,6 +47,6 @@ def check_kind(where, value, default):
             raise ConfigError(f"{where} must be {kind}, not {value!r}")
     elif default is not None:
         kind = numbers.Integral if isinstance(default, int) else numbers.Real
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "an integer" if kind is numbers.Integral else "a number"
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            noun = "an integer" if kind is numbers.Integral else "a finite number"
             raise ConfigError(f"{where} must be {noun}, not {value!r}")

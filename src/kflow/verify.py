@@ -1,5 +1,10 @@
 """Identity batteries: ambient structure checks, pointwise surface
-inequalities, and density closed-form oracles.
+inequalities, a homological oracle and density closed-form oracles.
+
+The ambient checks run the contractions the flow runs (`inner`,
+`connection`, `apply_J`) on random vectors at random points: together they
+say that the flow's connection is the Levi-Civita connection of a Kähler
+metric.  `check_einstein` reads the curvature tensors.
 
 Each check returns (name, passed, detail).  `run_battery("quick")` keeps
 everything under a minute; "full" adds the evolution-residual refinement
@@ -10,78 +15,70 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import ChartPoint, J_STANDARD, get_model
+from .ambient import ChartPoint, apply_J, get_model
 from .density import DensityQuery, parabolic_density
 from .diagnostics import evolution_residual
 from .flow import FlowConfig, FlowState, step
-from .immersion import compute_geometry, frame_rotated_scalars
+from .immersion import compute_geometry, frame_rotated_scalars, integrate_scalar
 from .surfaces import perturbed_cp1, plane, torus_graph
 
 
-def _sample_points(model, n=40, seed=7):
-    """n random coordinate samples.  The tensors are the same formulas in
-    every chart, so each check evaluates them once."""
+def _samples(model, n=40, seed=7):
+    """n random coordinate samples with three random tangent vectors at
+    each (the last of unit length).  The contractions are the same
+    formulas in every chart, so each check evaluates them once."""
     rng = np.random.default_rng(seed)
-    return np.array([model.random_point(rng).x for _ in range(n)])
+    xs = np.array([model.random_point(rng).x for _ in range(n)])
+    u, w, e = rng.normal(size=(3, n, 4))
+    return xs, u, w, e / np.linalg.norm(e, axis=-1, keepdims=True)
 
 
 def check_complex_structure(model):
-    """J^2 = -Id, metric compatibility, and the two-form identities."""
-    xs = _sample_points(model)
-    G = model.metric(xs)
-    J = np.broadcast_to(J_STANDARD, G.shape)
-    omega = model.symplectic_form(xs)
+    """J^2 = -Id and g(Ju, Jw) = g(u, w), through `apply_J` and `inner`."""
+    xs, u, w, _ = _samples(model)
     err = max(
-        np.abs(J_STANDARD @ J_STANDARD + np.eye(4)).max(),
-        # g(JU, JV) = g(U, V)
-        np.abs(np.einsum("...ca,...cd,...db->...ab", J, G, J) - G).max(),
-        # omega(U, V) = g(JU, V), antisymmetric
-        np.abs(omega + np.swapaxes(omega, -1, -2)).max(),
-        np.abs(np.einsum("...ca,...cb->...ab", J, G) - omega).max(),
-        # <U, V> = omega(U, JV)
-        np.abs(np.einsum("...ab,...bc->...ac", omega, J) - G).max(),
+        np.abs(apply_J(apply_J(u)) + u).max(),
+        np.abs(model.inner(xs, apply_J(u), apply_J(w)) - model.inner(xs, u, w)).max(),
     )
     return f"{model.name}: complex structure / compatibility", err < 1e-12, f"max err {err:.2e}"
 
 
-def check_nabla_J_order(model):
-    """Covariant derivative of J vanishes (Kähler); the finite-difference
-    approximation must converge to zero at order >= 1.8 in the step."""
-    xs = _sample_points(model, n=20)
+def check_parallel_J(model):
+    """Kähler: the connection commutes with J, Gamma(u, Jw) = J Gamma(u, w)
+    (nabla J = 0 for a constant J), and is torsion-free, Gamma(u, w) =
+    Gamma(w, u).  Both hold exactly for the closed forms."""
+    xs, u, w, _ = _samples(model)
+    gamma = model.connection(xs, u, w)
+    err = max(
+        np.abs(model.connection(xs, u, apply_J(w)) - apply_J(gamma)).max(),
+        np.abs(model.connection(xs, w, u) - gamma).max(),
+    )
+    return f"{model.name}: parallel J (exact)", err < 1e-12, f"max err {err:.2e}"
+
+
+def check_metric_compatibility(model):
+    """d_e g(u, w) = g(Gamma(e, u), w) + g(u, Gamma(e, w)) for constant
+    u, w: with symmetry this makes `connection` the Levi-Civita connection
+    of `inner`.  The left side is a 4th-order central difference of `inner`
+    along e; its residual must fall at order >= 3.5 as the step halves,
+    or vanish to rounding (flat models)."""
+    xs, u, w, e = _samples(model, n=20)
+    rhs = model.inner(xs, model.connection(xs, e, u), w)
+    rhs += model.inner(xs, u, model.connection(xs, e, w))
     errs = []
     for h in (0.02, 0.01):
-        dg = np.empty(xs.shape[:-1] + (4, 4, 4))
-        for c, e in enumerate(h * np.eye(4)):
-            dg[..., c, :, :] = (
-                -model.metric(xs + 2 * e)
-                + 8 * model.metric(xs + e)
-                - 8 * model.metric(xs - e)
-                + model.metric(xs - 2 * e)
-            ) / (12 * h)
-        ginv = np.linalg.inv(model.metric(xs))
-        term = (
-            np.einsum("...ilj->...lij", dg)
-            + np.einsum("...jli->...lij", dg)
-            - np.einsum("...lij->...lij", dg)
-        )
-        gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
-        # nabla_a J^b_c = Gamma^b_{a d} J^d_c - Gamma^d_{a c} J^b_d
-        nj = np.einsum("...bad,dc->...abc", gamma, J_STANDARD) - np.einsum(
-            "...dac,bd->...abc", gamma, J_STANDARD
-        )
-        errs.append(np.abs(nj).max())
+        g = [model.inner(xs + k * h * e, u, w) for k in (2, 1, -1, -2)]
+        lhs = (-g[0] + 8 * g[1] - 8 * g[2] + g[3]) / (12 * h)
+        errs.append(np.abs(lhs - rhs).max())
+    name = f"{model.name}: metric compatibility"
     if errs[0] < 1e-11:
-        return f"{model.name}: parallel J", True, f"residual {errs[0]:.2e} (exact)"
+        return name, True, f"residual {errs[0]:.2e} (exact)"
     order = float(np.log(errs[0] / errs[1]) / np.log(2.0))  # the step halves
-    return (
-        f"{model.name}: parallel J (FD order)",
-        order >= 1.8,
-        f"residuals {errs[0]:.2e} -> {errs[1]:.2e}, order {order:.2f}",
-    )
+    return name, order >= 3.5, f"residuals {errs[0]:.2e} -> {errs[1]:.2e}, order {order:.2f}"
 
 
 def check_einstein(model):
-    xs = _sample_points(model, n=10)
+    xs = _samples(model, n=10)[0]
     _, ricci, _ = model.curvature(xs)
     err = np.abs(ricci - (model.scalar_curvature / 4.0) * model.metric(xs)).max()
     return f"{model.name}: Einstein (Ric = R/4 g)", err < 1e-10, f"max residual {err:.2e}"
@@ -101,17 +98,28 @@ def check_exp_log_roundtrip(model):
     return f"{model.name}: exp/log round trip", worst < 1e-12, f"max |log(exp(v)) - v| {worst:.2e}"
 
 
-def check_curvature_bound(grid):
+def check_curvature_bound(grid, geom):
     """|dJ|^2 >= |H|^2 / 2 at every node (the four-term identity)."""
-    geom = compute_geometry(grid)
     gap = float(np.min(geom.nablaJ_sq - 0.5 * geom.H_norm_sq))
     name = f"{grid.model.name}: |dJ|^2 >= |H|^2/2"
     return name, gap > -1e-12, f"min gap {gap:.2e}"
 
 
-def check_frame_invariance(grid):
+def check_symplectic_degree(grid, geom):
+    """The symplectic area over pi of a degree-1 curve is 1: omega is closed
+    and a line has area pi (potential log(1 + |z|^2)).  The defect is the
+    quadrature's error, 3e-5 on the 32x16 perturbed degree-1 curve."""
+    ratio = integrate_scalar(grid, geom.cos_alpha, geom) / np.pi
+    defect = abs(ratio - 1.0)
+    return (
+        f"{grid.model.name}: symplectic area / pi = degree 1",
+        defect < 1e-3,
+        f"{ratio:.7f}, defect {defect:.2e}",
+    )
+
+
+def check_frame_invariance(grid, geom):
     n_rotations = 50
-    geom = compute_geometry(grid)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(n_rotations):
@@ -163,48 +171,33 @@ def check_density_oracles():
     return "density: plane/offset/transverse/rescaling oracles", err < 1e-6, f"max err {err:.2e}"
 
 
-def _residual_refinement(make_grid, sizes):
-    """Max evolution residual across a grid-refinement sequence; returns
-    (residuals, observed orders)."""
+def _residual_refinement(name, make_grid, sizes):
+    """The max evolution residual must fall at order >= 1.8 across a
+    grid-refinement sequence."""
+    cfg = FlowConfig(t_end=1.0)
     res = []
     for n in sizes:
-        grid = make_grid(n)
-        st = FlowState(grid=grid.copy())
-        cfg = FlowConfig(t_end=1.0)
+        st = FlowState(grid=make_grid(n))
         snaps = [(st.grid.copy(), st.t)]
         for _ in range(2):
             st = step(st, cfg)
             snaps.append((st.grid.copy(), st.t))
-        _, rmax, _ = evolution_residual(*snaps)
-        res.append(rmax)
+        res.append(evolution_residual(*snaps)[1])
     orders = [np.log2(a / b) for a, b in zip(res, res[1:])]
-    return res, orders
+    detail = ", ".join(f"{r:.2e}" for r in res) + "; orders " + ", ".join(f"{o:.2f}" for o in orders)
+    return f"evolution residual refinement ({name})", min(orders) >= 1.8, "residuals " + detail
 
 
 def check_residual_refinement_torus():
     t4 = get_model("flat-T4")
-    res, orders = _residual_refinement(
-        lambda n: torus_graph(t4, amplitude=0.2, nu=n, nv=n), (32, 64, 128)
-    )
-    ok = min(orders) >= 1.8
-    return (
-        "evolution residual refinement (torus graph)",
-        ok,
-        "residuals " + ", ".join(f"{r:.2e}" for r in res) + f"; orders {orders[0]:.2f}, {orders[1]:.2f}",
-    )
+    grid = lambda n: torus_graph(t4, amplitude=0.2, nu=n, nv=n)
+    return _residual_refinement("torus graph", grid, (32, 64, 128))
 
 
 def check_residual_refinement_sphere():
     cp2 = get_model("Fubini-Study-CP2")
-    res, orders = _residual_refinement(
-        lambda n: perturbed_cp1(cp2, delta=0.05, nu=n, nv=n // 2), (64, 128, 256)
-    )
-    ok = min(orders) >= 1.8
-    return (
-        "evolution residual refinement (perturbed degree-1 curve)",
-        ok,
-        "residuals " + ", ".join(f"{r:.2e}" for r in res) + f"; orders {orders[0]:.2f}, {orders[1]:.2f}",
-    )
+    grid = lambda n: perturbed_cp1(cp2, delta=0.05, nu=n, nv=n // 2)
+    return _residual_refinement("perturbed degree-1 curve", grid, (64, 128, 256))
 
 
 def run_battery(level="quick"):
@@ -212,16 +205,17 @@ def run_battery(level="quick"):
     models = [get_model(n) for n in ("flat-C2", "flat-T4", "Fubini-Study-CP2")]
     for m in models:
         results.append(check_complex_structure(m))
-        results.append(check_nabla_J_order(m))
+        results.append(check_parallel_J(m))
+        results.append(check_metric_compatibility(m))
         results.append(check_einstein(m))
         results.append(check_exp_log_roundtrip(m))
-    t4 = get_model("flat-T4")
-    cp2 = get_model("Fubini-Study-CP2")
-    tg = torus_graph(t4, amplitude=0.2, nu=32, nv=32)
-    pc = perturbed_cp1(cp2, delta=0.05, nu=32, nv=16)
-    for g in (tg, pc):
-        results.append(check_curvature_bound(g))
-    results.append(check_frame_invariance(tg))
+    tg = torus_graph(models[1], amplitude=0.2, nu=32, nv=32)
+    pc = perturbed_cp1(models[2], delta=0.05, nu=32, nv=16)
+    tg_geom, pc_geom = compute_geometry(tg), compute_geometry(pc)
+    results.append(check_curvature_bound(tg, tg_geom))
+    results.append(check_curvature_bound(pc, pc_geom))
+    results.append(check_symplectic_degree(pc, pc_geom))
+    results.append(check_frame_invariance(tg, tg_geom))
     results.append(check_density_oracles())
     if level == "full":
         results.append(check_residual_refinement_torus())

@@ -64,16 +64,6 @@ def test_metric_hermitian_compatibility(model):
     assert np.abs(GJ - G).max() < 1e-13
 
 
-def test_symplectic_form_identities(model):
-    """omega(U,V) = g(JU,V), antisymmetry, and <U,V> = omega(U, JV)."""
-    xs = _points(model)
-    G = model.metric(xs)
-    om = model.symplectic_form(xs)
-    assert np.abs(om + np.swapaxes(om, -1, -2)).max() < 1e-13
-    assert np.abs(np.einsum("ca,...cb->...ab", J_STANDARD, G) - om).max() < 1e-13
-    assert np.abs(np.einsum("...ab,bc->...ac", om, J_STANDARD) - G).max() < 1e-13
-
-
 def test_flat_models_have_zero_connection_and_curvature():
     for name in ("flat-C2", "flat-T4"):
         m = get_model(name)

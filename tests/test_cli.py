@@ -34,7 +34,7 @@ def _write(path, doc):
 class TestResolve:
     def test_defaults_materialized(self):
         resolved = resolve_run_config(_base_config("out"))
-        assert resolved["flow"]["cfl_factor"] == 0.2
+        assert "cfl_factor" not in resolved["flow"]
         assert resolved["flow"]["converged_H_tol"] == 1e-4
         assert resolved["density"] == {"eps0": 0.1, "monitor": False, "r0": None}
         assert resolved["surface"]["params"]["center"] == [0.0, 0.0, 0.0, 0.0]
@@ -80,6 +80,7 @@ class TestResolve:
             lambda d: d["surface"].update(nu=64.5),
             lambda d: d["flow"].update(t_end="0.02"),
             lambda d: d["flow"].update(redistribution=None),
+            lambda d: d["flow"].update(cfl_factor=0.2),
             lambda d: d.update(density={"monitor": "false"}),
         ],
         ids=[
@@ -91,6 +92,7 @@ class TestResolve:
             "fractional-nu",
             "string-t-end",
             "removed-redistribution-key",
+            "removed-cfl-factor-key",
             "string-boolean",
         ],
     )
@@ -196,7 +198,7 @@ class TestRunCommand:
         assert main(["run", cfg]) == 0
 
         resolved = json.loads((out / "config.resolved.json").read_text())
-        assert resolved["flow"]["cfl_factor"] == 0.2
+        assert resolved["flow"]["converged_H_tol"] == 1e-4
 
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == ",".join(SERIES_HEADER)
@@ -262,9 +264,13 @@ class TestRunCommand:
             lambda d: d["flow"].update(converged_H_tol=-1.0),
             lambda d: d["flow"].update(converged_H_tol=float("nan")),
             lambda d: d["flow"].update(blowup_threshold=-5.0),
+            # a grid of NaN or infinite coordinates, not a degenerate-grid run
+            lambda d: d["surface"]["params"].update(radius=float("nan")),
+            lambda d: d["surface"]["params"].update(center=[0.0, float("-inf"), 0.0, 0.0]),
         ],
         ids=["odd-nu-sphere", "zero-period", "lattice-cannot-close", "string-stride",
-             "negative-r0", "cp2-r0-beyond-cap", "infinite-r0", "negative-H-tol", "nan-H-tol", "negative-blowup"],
+             "negative-r0", "cp2-r0-beyond-cap", "infinite-r0", "negative-H-tol", "nan-H-tol", "negative-blowup",
+             "nan-radius", "infinite-center"],
     )
     def test_bad_values_exit_1_with_config_error(self, tmp_path, capsys, mutate):
         out = tmp_path / "bad-run"
@@ -412,14 +418,15 @@ class TestDensityCommand:
     def test_removed_redistribution_key(self, run_dir, tmp_path):
         """flow.redistribution is no longer a setting: a run config with it
         fails, while a run directory whose config.resolved.json still holds
-        it re-analyses, since `density` reads only model, density and seed."""
+        it (or the dropped flow.cfl_factor) re-analyses, since `density`
+        reads only model, density and seed."""
         out = tmp_path / "old-key"
         doc = _base_config(out, redistribution=None)
         assert main(["run", _write(tmp_path / "old.json", doc)]) == 1
         assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
         path = run_dir / "config.resolved.json"
         resolved = json.loads(path.read_text())
-        resolved["flow"]["redistribution"] = None
+        resolved["flow"].update(redistribution=None, cfl_factor=0.2)
         path.write_text(json.dumps(resolved))
         assert main(["density", str(run_dir)]) == 0
         with open(run_dir / "density_report.csv") as fh:

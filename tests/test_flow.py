@@ -10,7 +10,7 @@ import pytest
 from kflow.ambient import get_model, to_complex
 from kflow.density import calibrate_r0, monitor_regularity
 from kflow.errors import ConfigError
-from kflow.flow import FlowConfig, FlowState, resolved_spacing, run, step
+from kflow.flow import CFL_FACTOR, FlowConfig, FlowState, resolved_spacing, run, step
 from kflow.immersion import compute_mean_curvature
 from kflow.surfaces import build_surface
 
@@ -22,8 +22,6 @@ CP2 = get_model("Fubini-Study-CP2")
 def test_flow_config_validation():
     with pytest.raises(ConfigError):
         FlowConfig(t_end=-1.0)
-    with pytest.raises(ConfigError):
-        FlowConfig(t_end=1.0, cfl_factor=0.9)
     with pytest.raises(ConfigError):
         FlowConfig(t_end=1.0, snapshot_stride=0)
     # a tolerance the run can never meet, a threshold every state exceeds
@@ -202,7 +200,7 @@ def test_single_step_first_order_consistency():
     grid = build_surface("round-sphere", C2, radius=1.0, nu=32, nv=16)
     cfg = FlowConfig(t_end=1.0)
     vel = compute_mean_curvature(grid)
-    dt = cfg.cfl_factor * resolved_spacing(grid, vel) ** 2
+    dt = CFL_FACTOR * resolved_spacing(grid, vel) ** 2
     nxt = step(FlowState(grid=grid.copy(), t=0.0, step_index=0), cfg)
     disp = nxt.grid.coords - grid.coords
     assert nxt.t == pytest.approx(dt)
