@@ -11,7 +11,8 @@ call of each layer:
   stage 2      compute_geometry on a stage 1 already computed
   geometry     compute_geometry from the grid alone
   record       one diagnostics record on a computed geometry
-  RK4 step     one flow.step from the grid (four stage-1 evaluations)
+  step         one SSPRK(10,4) flow.step from the grid (ten stage-1
+               evaluations)
   quadrature   quadrature_weights from the grid alone
 
 and, on the unit sphere at 80x40 (the density-reanalysis grid) and the
@@ -65,7 +66,7 @@ def geometry_layers(grid):
         ("stage 2", lambda: compute_geometry(grid, stage1)),
         ("geometry", lambda: compute_geometry(grid)),
         ("record", lambda: record(grid, 0.0, geom=geom)),
-        ("RK4 step", lambda: step(FlowState(grid=grid), config)),
+        ("step", lambda: step(FlowState(grid=grid), config)),
         ("quadrature", lambda: quadrature_weights(grid)),
     ]
 

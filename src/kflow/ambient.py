@@ -93,6 +93,11 @@ class AmbientModel:
     def to_chart(self, x, chart_from, chart_to):
         raise NotImplementedError
 
+    def tangent_to_chart(self, x, v, chart_from, chart_to):
+        """Components in chart_to of the tangent vectors v at x, both given
+        in chart_from: the differential of to_chart."""
+        raise NotImplementedError
+
     def recharted(self, x, chart):
         """(coords, charts) of a batch after the model's chart rule; the
         input itself while no point needs another chart."""
@@ -210,6 +215,9 @@ class _FlatModel(AmbientModel):
 
     def to_chart(self, x, chart_from, chart_to):
         return np.asarray(x, dtype=float).copy()
+
+    def tangent_to_chart(self, x, v, chart_from, chart_to):
+        return v
 
     def recharted(self, x, chart):
         return x, chart
@@ -366,6 +374,17 @@ class FubiniStudyCP2(AmbientModel):
         h = self._homogeneous(to_complex(x), chart_from)
         with np.errstate(divide="ignore", invalid="ignore"):
             return from_complex(self._affine(h, chart_to))
+
+    def tangent_to_chart(self, x, v, chart_from, chart_to):
+        h = self._homogeneous(to_complex(x), chart_from)
+        return self._push_down(h, self._homogeneous(to_complex(v), chart_from, pivot=0.0), chart_to)
+
+    def common_chart(self, x, chart):
+        """One chart id per column of the points x[i, j]: the chart where
+        the column's largest coordinate norm is smallest, that is the slot
+        whose smallest |h_k| / |h| over the column is largest."""
+        h = np.abs(self._homogeneous(to_complex(x), chart))
+        return (h / np.linalg.norm(h, axis=-1, keepdims=True)).min(axis=0).argmax(axis=-1)
 
     def recharted(self, x, chart):
         """The input while every coordinate is within transition_radius;

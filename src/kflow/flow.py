@@ -1,16 +1,17 @@
 """Mean curvature flow time stepping.
 
-Nodes move by dF/dt = H with classical 4th-order Runge-Kutta in chart
-coordinates, and the model re-charts them after each step
-(`AmbientModel.recharted`).  The step size is CFL_FACTOR * h_res^2, h_res
-being the resolved grid spacing recomputed from the induced metric each step.
+Nodes move by dF/dt = H with Ketcheson's ten-stage fourth-order SSPRK(10,4)
+(SIAM J. Sci. Comput. 30 (2008), 2113-2136) in chart coordinates, and the
+model re-charts them after each step (`AmbientModel.recharted`).  The step
+size is CFL_FACTOR * h_res^2, h_res being the resolved grid spacing
+recomputed from the induced metric each step.
 
-Each RK stage evaluates stage 1 of the immersion geometry
+Each stage evaluates stage 1 of the immersion geometry
 (`compute_mean_curvature`: induced metric, spacings and H).  `run` records
 the initial state, every diagnostics_stride-th state and the state it stops
 at, and snapshots the same states by snapshot_stride.  A record's stage 2
 (`compute_geometry`) is built on the state's stage 1, which is also the
-first RK stage of the step leaving the state: no state is differentiated
+first stage of the step leaving the state: no state is differentiated
 twice.
 
 On sphere grids the azimuthal spacing collapses like sin(v) toward the
@@ -18,13 +19,12 @@ poles, so a literal min-spacing step size would shrink quadratically in the
 resolution for no accuracy gain (the polar rows oversample the surface in
 u).  Instead h_res uses the *equatorial* row spacing, and a zonal FFT
 filter removes, per latitude row, the azimuthal modes whose explicit-step
-amplification factor would exceed the Runge-Kutta stability bound at that
-step size.  The filter acts on the velocity field only (never on node
-positions) and touches only modes that are unresolved at the polar radius.
-Rows whose nodes span several charts are left unfiltered.  That is a known
-defect: such a row can reach a pole, and its stiff modes then grow (a
-perturbed-cp1 surface with line_coeffs (1, 0) degenerates at step 4).  It
-waits for a filter that takes each row into one chart.
+amplification factor would exceed the stability bound at that step size.
+The filter acts on the velocity field only (never on node positions) and
+touches only modes that are unresolved at the polar radius.  A row whose
+nodes lie in several charts is filtered in the one chart that holds the
+whole row farthest inside it, so a CP² surface and its isometric images
+flow alike, up to truncation error.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ from .diagnostics import DiagnosticsRecord, record
 from .errors import ConfigError, DegenerateImmersionError, check_kind
 from .immersion import MeanCurvature, SurfaceGrid, compute_geometry, compute_mean_curvature, d2_symbol
 
-# dt = CFL_FACTOR * h_res^2; not a setting.  On a 32x32 T⁴ torus graph run
-# to t = 0.5, 0.3 ends with sup|A| 7.15 where 0.2 ends with 0.171, and 0.5
-# flags blow-up on a surface that converges to flat.
-CFL_FACTOR = 0.2
-# Largest |z| (real-axis) with |R(z)| <= 1 for classical RK4.
-_RK4_REAL_LIMIT = 2.785
+# dt = CFL_FACTOR * h_res^2; not a setting.  0.8 times the 2-D D2 symbol
+# (12.09) is 70 % of _REAL_LIMIT.  At 1.0 (87 %) a perturbed-cp1 64x32 run
+# reaches sup|A| 3.98 and never converges.  On a 32x32 T⁴ torus graph run to
+# t = 0.5, 0.8 to 1.2 end with sup|A| 0.171, 1.5 with 6.52 after 920 steps,
+# and 2.0 flags blow-up on a surface that converges to flat.
+CFL_FACTOR = 0.8
+# Largest real |z| with |R(z)| <= 1 for SSPRK(10,4).
+_REAL_LIMIT = 13.917
 # Fraction of the stability budget the zonal filter allows a kept mode.
 _FILTER_SAFETY = 0.75
 
@@ -104,47 +106,65 @@ def resolved_spacing(grid: SurfaceGrid, vel: MeanCurvature) -> float:
 def _zonal_filter(grid: SurfaceGrid, vel: MeanCurvature, dt: float):
     """Stability treatment of the stiff azimuthal modes on sphere grids.
 
-    Returns (keep_mask, rate):
+    Returns (keep_mask, rate, rows), or three Nones where every mode is kept:
     - keep_mask: boolean (nu//2 + 1, nv) rfft-mode mask for the velocity;
-      modes whose frozen-row diffusion rate would exceed the explicit RK4
+      modes whose frozen-row diffusion rate would exceed the explicit
       stability budget at this dt are dropped from the explicit update.
     - rate: the frozen-row diffusion rate estimate for every mode, `d2_symbol`
       times the row's largest g^uu / du^2 (used by the exponential step for
-      the dropped modes), or None with mask None.
-
-    Rows spanning several charts keep every mode: they are left unfiltered
-    (a known defect where such a row reaches a pole).
+      the dropped modes).
+    - rows: (indices, charts) of the filtered rows whose nodes lie in more
+      than one chart and the one chart each of them is filtered in
+      (`FubiniStudyCP2.common_chart`), or None without such rows.
     """
     if grid.topology != "sphere":
-        return None, None
+        return None, None, None
     nu = grid.nu
     a_row = vel.inv[0].max(axis=0) / grid.du**2  # stiffest u-coefficient
     c_row = vel.inv[2].max(axis=0) / grid.dv**2 * d2_symbol(np.pi)
     k = np.arange(nu // 2 + 1)
-    budget = _FILTER_SAFETY * _RK4_REAL_LIMIT / dt
+    budget = _FILTER_SAFETY * _REAL_LIMIT / dt
     rate = a_row[None, :] * d2_symbol(k * grid.du)[:, None]
     keep = rate + c_row[None, :] <= budget
-    mixed = (grid.chart_ids != grid.chart_ids[:1]).any(axis=0)
-    keep[:, mixed] = True
     if keep.all():
-        return None, None
-    return keep, rate
+        return None, None, None
+    mixed = (grid.chart_ids != grid.chart_ids[:1]).any(axis=0) & ~keep.all(axis=0)
+    if not mixed.any():
+        return keep, rate, None
+    cols = np.flatnonzero(mixed)
+    return keep, rate, (cols, grid.model.common_chart(grid.coords[:, cols], grid.chart_ids[:, cols]))
 
 
-def _apply_mask(vel, mask):
-    """vel without the rfft modes the mask drops, and vel's rfft along u
-    (None without a mask), which the exponential step reuses."""
+def _row_charts(grid, x, v, rows, back=False):
+    """v, the listed rows' vectors at the nodes x taken from each node's
+    chart into the row's chart (back: the reverse)."""
+    if rows is None:
+        return v
+    cols, row_chart = rows
+    model, charts, xr = grid.model, grid.chart_ids[:, cols], x[:, cols]
+    if back:
+        xr, charts, row_chart = model.to_chart(xr, charts, row_chart), row_chart, charts
+    v = v.copy()
+    v[:, cols] = model.tangent_to_chart(xr, v[:, cols], charts, row_chart)
+    return v
+
+
+def _filtered(grid, x, v, mask, rows):
+    """The velocity v at the nodes x without the rfft modes the mask drops,
+    and its rfft along u in the row charts (None without a mask), which the
+    exponential step reuses."""
     if mask is None:
-        return vel, None
-    vf = np.fft.rfft(vel, axis=0)
-    return np.fft.irfft(vf * mask[:, :, None], n=vel.shape[0], axis=0), vf
+        return v, None
+    vf = np.fft.rfft(_row_charts(grid, x, v, rows), axis=0)
+    v = np.fft.irfft(vf * mask[:, :, None], n=v.shape[0], axis=0)
+    return _row_charts(grid, x, v, rows, back=True), vf
 
 
-def _exponential_mode_step(coords, vf, mask, rate, dt):
-    """Exponential-Euler update for the velocity modes dropped by the mask;
-    vf is the velocity's rfft along u.
+def _exponential_mode_step(grid, coords, vf, mask, rate, rows, dt):
+    """Exponential-Euler update of coords for the velocity modes dropped by
+    the mask; vf is the rfft along u of grid's velocity in the row charts.
 
-    The dropped azimuthal modes are too stiff for the explicit RK4 stage at
+    The dropped azimuthal modes are too stiff for the explicit stages at
     this dt; freezing them would leave any initial polar displacement (and
     its k^2/r^2-amplified curvature) stuck forever.  Instead they advance
     by delta_k += dt * phi1(-rate_k dt) * (H)_k with phi1(z) = (e^z - 1)/z:
@@ -158,35 +178,37 @@ def _exponential_mode_step(coords, vf, mask, rate, dt):
     phi1 = np.where(z > 1e-12, -np.expm1(-z) / np.maximum(z, 1e-300), 1.0)
     upd = np.zeros_like(vf)
     upd[dropped] = (dt * phi1)[:, None] * vf[dropped]
-    coords += np.fft.irfft(upd, n=coords.shape[0], axis=0)
+    upd = np.fft.irfft(upd, n=coords.shape[0], axis=0)
+    coords += _row_charts(grid, grid.coords, upd, rows, back=True)
 
 
 def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None) -> FlowState:
-    """One RK4 step of dF/dt = H.  `vel` optionally reuses the stage 1
-    geometry of state.grid, already computed, for the first RK stage."""
+    """One SSPRK(10,4) step of dF/dt = H, in Ketcheson's two-register form.
+    `vel` optionally reuses the stage 1 geometry of state.grid, already
+    computed, for the first stage."""
     grid = state.grid
     if vel is None:
         vel = compute_mean_curvature(grid)
-    h_res = resolved_spacing(grid, vel)
-    dt = CFL_FACTOR * h_res**2
-    dt = min(dt, config.t_end - state.t)
-    mask, rate = _zonal_filter(grid, vel, dt)
+    dt = min(CFL_FACTOR * resolved_spacing(grid, vel) ** 2, config.t_end - state.t)
+    mask, rate, rows = _zonal_filter(grid, vel, dt)
+    stage = grid.copy()
 
-    k1, vf = _apply_mask(vel.H, mask)
+    def velocity(x):
+        stage.coords = x
+        return _filtered(grid, x, compute_mean_curvature(stage).H, mask, rows)[0]
 
-    def stage(displacement):
-        g = grid.copy()
-        g.coords += displacement
-        return _apply_mask(compute_mean_curvature(g).H, mask)[0]
-
-    k2 = stage(0.5 * dt * k1)
-    k3 = stage(0.5 * dt * k2)
-    k4 = stage(dt * k3)
-    new = grid.copy()
-    new.coords += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    _exponential_mode_step(new.coords, vf, mask, rate, dt)
-    new.coords, new.chart_ids = grid.model.recharted(new.coords, new.chart_ids)
-    return FlowState(grid=new, t=state.t + dt, step_index=state.step_index + 1)
+    k1, vf = _filtered(grid, grid.coords, vel.H, mask, rows)
+    q1 = grid.coords + dt / 6 * k1
+    for _ in range(4):
+        q1 += dt / 6 * velocity(q1)
+    q2 = grid.coords / 25 + 9 / 25 * q1
+    q1 = 15 * q2 - 5 * q1
+    for _ in range(4):
+        q1 += dt / 6 * velocity(q1)
+    stage.coords = q2 + 3 / 5 * q1 + dt / 10 * velocity(q1)
+    _exponential_mode_step(grid, stage.coords, vf, mask, rate, rows, dt)
+    stage.coords, stage.chart_ids = grid.model.recharted(stage.coords, stage.chart_ids)
+    return FlowState(grid=stage, t=state.t + dt, step_index=state.step_index + 1)
 
 
 def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:

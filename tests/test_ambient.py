@@ -281,6 +281,14 @@ class TestChartIdsChecked:
         with pytest.raises(ValueError, match=r"\[3\]"):
             self.cp2.lift(np.stack([self.x] * 2), np.array([0, 3]), None)
 
+    def test_tangent_to_chart(self):
+        with pytest.raises(ValueError, match=r"\[7\]"):
+            self.cp2.tangent_to_chart(self.x, self.x, 7, 0)
+        with pytest.raises(ValueError, match=r"\[-1, 5\]"):
+            self.cp2.tangent_to_chart(np.stack([self.x] * 3), np.stack([self.x] * 3), 0, np.array([5, 1, -1]))
+        with pytest.raises(ValueError, match=r"\[3\]"):
+            self.cp2.common_chart(np.stack([self.x] * 2)[:, None], np.array([[0], [3]]))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 10**6))
@@ -376,6 +384,32 @@ class TestPerPointCharts:
         # per-point targets too: the inverse transition restores the batch
         back = self.cp2.to_chart(self.cp2.to_chart(xs, charts, 0), 0, charts)
         assert np.abs(back - xs).max() < 1e-14
+
+    def test_tangent_to_chart(self):
+        """The differential of to_chart: a central difference of to_chart,
+        an isometry of the metric, inverted by the map back, and the
+        identity on flat models."""
+        rng, xs, charts = self._batch()
+        v = rng.normal(size=xs.shape)
+        for target in (0, 1, 2, charts[::-1]):
+            got = self.cp2.tangent_to_chart(xs, v, charts, target)
+            e = 1e-6
+            fd = (self.cp2.to_chart(xs + e * v, charts, target) - self.cp2.to_chart(xs - e * v, charts, target)) / (2 * e)
+            assert np.all(np.abs(got - fd).max(axis=-1) < 1e-6 * np.abs(got).max(axis=-1))
+            y = self.cp2.to_chart(xs, charts, target)
+            np.testing.assert_allclose(self.cp2.inner(y, got, got), self.cp2.inner(xs, v, v), rtol=1e-12)
+            back = self.cp2.tangent_to_chart(y, got, target, charts)
+            assert np.abs(back - v).max() < 1e-12 * np.abs(v).max()
+        for name in ("flat-C2", "flat-T4"):
+            assert get_model(name).tangent_to_chart(xs, v, 0, 0) is v
+
+    def test_common_chart(self):
+        """Each column's chart is the one where the column's largest
+        coordinate norm is smallest."""
+        _, xs, charts = self._batch(scale=2.4)
+        xs, charts = xs.reshape(5, 6, 4), charts.reshape(5, 6)
+        reach = [np.linalg.norm(self.cp2.to_chart(xs, charts, c), axis=-1).max(axis=0) for c in range(3)]
+        assert np.array_equal(self.cp2.common_chart(xs, charts), np.argmin(reach, axis=0))
 
     def test_recharted(self):
         _, xs, charts = self._batch(scale=2.4)
