@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import json
 import os
@@ -22,15 +23,9 @@ from pathlib import Path
 
 from .ambient import ChartPoint, get_model
 from .config import load_json, resolve_run_config, resolve_sweep_spec
-from .density import (
-    calibrate_r0,
-    make_query,
-    monitor_regularity,
-    parabolic_density,
-    write_monitor,
-)
-from .diagnostics import summarize, write_series
-from .errors import ConfigError, KflowError, check_kind
+from .density import calibrate_r0, make_query, monitor_regularity, parabolic_density
+from .diagnostics import SERIES_HEADER, summarize
+from .errors import ConfigError, DegenerateImmersionError, KflowError, check_kind
 from .flow import FlowConfig, run
 from .immersion import load_grid, save_grid
 from .surfaces import build_surface
@@ -64,6 +59,15 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    """Write a header line, then each row of the iterable `rows` as it
+    comes.  csv.writer gives a float its repr and None an empty field."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _run_radius(resolved, initial):
     """The kernel radius of a run: the configured density.r0, else
     calibrate_r0 on the run's initial grid."""
@@ -88,7 +92,11 @@ def execute_run(resolved, out_dir: Path):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "config.resolved.json", resolved)
-    write_series(out_dir / "series.csv", result.records)
+    _write_csv(
+        out_dir / "series.csv",
+        SERIES_HEADER,
+        ([getattr(r, k) for k in SERIES_HEADER] for r in result.records),
+    )
     snap_dir = out_dir / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     for i, (g, t) in enumerate(result.snapshots):
@@ -97,7 +105,11 @@ def execute_run(resolved, out_dir: Path):
     report = None
     if density["monitor"]:
         report = monitor_regularity(result.snapshots, r0, density["eps0"])
-        write_monitor(out_dir / "monitor.csv", report)
+        _write_csv(
+            out_dir / "monitor.csv",
+            ("t0", "x0_index", "phi", "exceeded"),
+            ((r.t0, r.x0_index, r.phi, int(r.exceeded)) for r in report.rows),
+        )
 
     lam = model.einstein_constant
     # a grid degenerate from the start leaves no record to summarize
@@ -141,7 +153,8 @@ def cmd_run(path) -> int:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 _write_json(out_dir / "error.json", {"error": kind, "message": str(exc)})
         print(f"{'config error' if kind == 'ConfigError' else 'run failed'}: {exc}", file=sys.stderr)
-        return 1
+        # the monitor's calibration meets a degenerate initial grid first
+        return 3 if isinstance(exc, DegenerateImmersionError) else 1
     code = _EXIT_BY_STOP[result.stop_reason]
     if code:
         _write_json(
@@ -203,17 +216,11 @@ def cmd_sweep(path) -> int:
             row.update(stop_reason=f"error:{type(exc).__name__}", converged=False)
         rows.append(row)
 
-    import csv
-
-    cols = [
+    cols = (
         "delta", "C0", "converged", "stop_reason", "gap", "min_cos_alpha",
         "supA_max", "max_phi", "n_exceedances", "r0",
-    ]
-    with open(out_root / "sweep_summary.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        for row in rows:
-            w.writerow({c: row.get(c) for c in cols})
+    )
+    _write_csv(out_root / "sweep_summary.csv", cols, ([row.get(c) for c in cols] for row in rows))
     good = [r["delta"] for r in rows if r.get("converged") and not r.get("n_exceedances")]
     if good:
         print(f"largest amplitude converged without density exceedance: {max(good):g}")
@@ -264,8 +271,6 @@ def cmd_density(run_dir, queries_path=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
 
-    import csv
-
     rows = []
     failed = "calibration"
     try:
@@ -274,27 +279,20 @@ def cmd_density(run_dir, queries_path=None) -> int:
             r0 = _run_radius(resolved, states[0][0])
             failed = "density monitor"
             report = monitor_regularity(states, r0, resolved["density"]["eps0"])
-            rows = [
-                {"x0_index": r.x0_index, "t0": r.t0, "r": r0, "t_used": r.t0 - r0 * r0, "phi": r.phi}
-                for r in report.rows
-            ]
+            rows = [(r.x0_index, r.t0, r0, r.t0 - r0 * r0, r.phi) for r in report.rows]
         else:
             failed = "density query"
             for i, q in enumerate(queries):
-                row = {"x0_index": i, "t0": q.t0, "r": q.r}
                 usable = [(g, t) for g, t in states if t <= q.t0 - q.r * q.r]
                 if not usable:
-                    rows.append({**row, "t_used": "", "phi": "not-computable"})
+                    rows.append((i, q.t0, q.r, None, "not-computable"))
                     continue
                 g, t = usable[-1]
-                rows.append({**row, "t_used": t, "phi": parabolic_density(g, t, q)})
+                rows.append((i, q.t0, q.r, t, parabolic_density(g, t, q)))
     except KflowError as exc:
         print(f"{failed} failed: {exc}", file=sys.stderr)
         return 1
-    with open(run_dir / "density_report.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["x0_index", "t0", "r", "t_used", "phi"])
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(run_dir / "density_report.csv", ("x0_index", "t0", "r", "t_used", "phi"), rows)
     print(f"wrote {len(rows)} density rows to {run_dir / 'density_report.csv'}")
     return 0
 

@@ -91,19 +91,17 @@ def cutoff(s, r):
 
 
 def _gaussian_in_place(d2, r, tau):
-    """phi(d) exp(-d^2 / (4 tau)) (no cutoff when r is None) written over the
-    squared distances d2: the masks come first, so no second float array is
-    formed.  A NaN entry is in neither mask and stays NaN."""
-    if r is not None:
-        far = d2 >= 4.0 * r * r
-        band = d2 > r * r
-        band ^= far  # far lies inside d2 > r^2
-        phi = cutoff(np.sqrt(d2[band]), r)
+    """phi(d) exp(-d^2 / (4 tau)) written over the squared distances d2: the
+    masks come first, so no second float array is formed.  A NaN entry is
+    in neither mask and stays NaN."""
+    far = d2 >= 4.0 * r * r
+    band = d2 > r * r
+    band ^= far  # far lies inside d2 > r^2
+    phi = cutoff(np.sqrt(d2[band]), r)
     d2 *= -0.25 / tau
     np.exp(d2, out=d2)
-    if r is not None:
-        d2[far] = 0.0
-        d2[band] *= phi
+    d2[far] = 0.0
+    d2[band] *= phi
     return d2
 
 
@@ -271,16 +269,6 @@ def monitor_regularity(snapshots, r0: float, eps0: float) -> MonitorReport:
     )
 
 
-def write_monitor(path, report: MonitorReport):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t0", "x0_index", "phi", "exceeded"])
-        for r in report.rows:
-            w.writerow([repr(r.t0), r.x0_index, repr(r.phi), int(r.exceeded)])
-
-
 def density_derivative_check(prev, mid, nxt, query: DensityQuery):
     """Discrepancy between the time difference of Phi (fixed kernel scale
     tau = r^2) and the three-term flow identity, at the middle of three
@@ -302,7 +290,7 @@ def density_derivative_check(prev, mid, nxt, query: DensityQuery):
     w = quadrature_weights(gm, stage1).reshape(-1) / (4.0 * np.pi * tau)
     *_, d2 = next(_sq_distance_blocks(gm, x0, c0))
     dm = np.sqrt(d2[0])
-    heat = _gaussian_in_place(d2[0].copy(), None, tau)
+    heat = np.exp(d2[0] * (-0.25 / tau))
     kernel = _gaussian_in_place(d2[0], r, tau)
     dphi_dt = wp * phi_p + wm * (kernel @ w) + wn * phi_n
     H = stage1.H.reshape(-1, 4)

@@ -27,7 +27,6 @@ combination from the immersion layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,25 +241,3 @@ def evolution_residual(
     l2 = np.sqrt(integrate_scalar(gm, res**2, geom_m))
     return res, float(np.max(np.abs(res))), float(l2)
 
-
-# -- series file I/O ------------------------------------------------------
-
-
-def write_series(path, series):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_HEADER)
-        for r in series:
-            w.writerow([repr(getattr(r, name)) for name in SERIES_HEADER])
-
-
-def read_series(path):
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != SERIES_HEADER:
-            raise ValueError(f"unexpected series header {header!r}")
-        for row in reader:
-            out.append(DiagnosticsRecord(**{k: float(v) for k, v in zip(SERIES_HEADER, row)}))
-    return out

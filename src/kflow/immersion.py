@@ -58,7 +58,6 @@ TWO_PI = 2.0 * np.pi
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_NUM, _D2_DEN = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]), 180.0
 _D2 = _D2_NUM / _D2_DEN
-_OFFS = (-3, -2, -1, 0, 1, 2, 3)
 _G = 3  # ghost width: the half-width of the 7-point stencils
 
 
@@ -314,7 +313,7 @@ def compute_mean_curvature(grid: SurfaceGrid) -> MeanCurvature:
     g22 = model.inner(x, Fv, Fv)
     det = g11 * g22 - g12**2
     if np.any(det <= NONDEGENERACY_FLOOR**4):
-        raise DegenerateImmersionError("induced metric degenerate in flow step")
+        raise DegenerateImmersionError("induced metric degenerate")
     return MeanCurvature(grid, Fu, Fv, g11, g12, g22, det, (Fuu, Fuv, Fvv))
 
 
@@ -503,7 +502,7 @@ def grid_from_dict(doc, model: AmbientModel | None = None) -> SurfaceGrid:
     )
 
 
-def save_grid(path, grid: SurfaceGrid, t=None):
+def save_grid(path, grid: SurfaceGrid, t):
     """Write the snapshot json.dumps would give, with the coordinates
     dumped one u-row at a time so they never exist as one list of floats."""
     doc = {
@@ -519,8 +518,7 @@ def save_grid(path, grid: SurfaceGrid, t=None):
         doc["model_periods"] = grid.model.periods.tolist()
     if grid.period_offsets is not None:
         doc["period_offsets"] = grid.period_offsets.tolist()
-    if t is not None:
-        doc["t"] = float(t)
+    doc["t"] = float(t)
     head, _, tail = json.dumps(doc).partition('"coords": null')
     with open(path, "w") as fh:
         fh.write(head + '"coords": [')

@@ -8,9 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from kflow.cli import build_grid, build_model, main
+from kflow.cli import build_grid, build_model, execute_run, main
 from kflow.config import load_json, resolve_run_config, resolve_sweep_spec
-from kflow.diagnostics import SERIES_HEADER, read_series
+from kflow.diagnostics import SERIES_HEADER
 from kflow.errors import ConfigError
 from kflow.surfaces import FAMILIES
 
@@ -200,10 +200,10 @@ class TestRunCommand:
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["flow"]["converged_H_tol"] == 1e-4
 
-        lines = (out / "series.csv").read_text().splitlines()
-        assert lines[0] == ",".join(SERIES_HEADER)
-        series = read_series(out / "series.csv")
-        assert series[0].t == 0.0
+        with open(out / "series.csv", newline="") as fh:
+            series = list(csv.DictReader(fh))
+        assert tuple(series[0]) == SERIES_HEADER
+        assert float(series[0]["t"]) == 0.0
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] in ("reached-t-end", "converged")
@@ -307,6 +307,18 @@ class TestRunCommand:
         assert summary["n_records"] == 0
         assert summary["series_summary"] is None
 
+    def test_degenerate_initial_grid_with_the_monitor_exits_3(self, tmp_path):
+        """The monitor's calibration meets the degenerate grid before any
+        step: still exit 3, with error.json naming the error."""
+        out = tmp_path / "degen"
+        doc = _base_config(out)
+        doc["surface"] = {"family": "plane", "params": {"b_dir": [1.0, 1e-9, 0.0, 0.0]},
+                          "nu": 16, "nv": 16}
+        doc["density"] = {"monitor": True}
+        assert main(["run", _write(tmp_path / "degen.json", doc)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "DegenerateImmersionError"
+
     def test_uncalibratable_monitor_fails_before_the_flow(self, tmp_path, monkeypatch):
         # 4 max h of this three-chart 32x16 grid exceeds the injectivity cap
         # 0.75, so calibrate_r0 raises on the initial grid
@@ -332,6 +344,41 @@ class TestRunCommand:
         assert err["error"] == "CalibrationError"
         assert not (out / "series.csv").exists()
         assert not (out / "snapshots").exists()
+
+    @staticmethod
+    def _table(path):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        return tuple(header), rows
+
+    @pytest.fixture(scope="class")
+    def monitored_run(self, tmp_path_factory):
+        """A short CP2 run with the monitor on (16x8 is too coarse to
+        calibrate, so r0 is given), and its in-memory result and report."""
+        out = tmp_path_factory.mktemp("tables")
+        doc = _base_config(out, t_end=0.05, diagnostics_stride=1, snapshot_stride=2)
+        doc["model"] = "Fubini-Study-CP2"
+        doc["surface"] = {"family": "perturbed-cp1", "params": {"delta": 0.05}, "nu": 16, "nv": 8}
+        doc["density"] = {"monitor": True, "r0": 0.3}
+        result, report = execute_run(resolve_run_config(doc), out)
+        return out, result, report
+
+    def test_series_csv_parses_back_to_the_records(self, monitored_run):
+        out, result, _ = monitored_run
+        header, rows = self._table(out / "series.csv")
+        assert header == SERIES_HEADER
+        assert len(rows) == len(result.records) > 2
+        for row, rec in zip(rows, result.records):
+            assert [float(x) for x in row] == [getattr(rec, k) for k in SERIES_HEADER]
+
+    def test_monitor_csv_parses_back_to_the_report(self, monitored_run):
+        out, _, report = monitored_run
+        header, rows = self._table(out / "monitor.csv")
+        assert header == ("t0", "x0_index", "phi", "exceeded")
+        assert len(rows) == len(report.rows) > 0
+        for (t0, x0_index, phi, exceeded), r in zip(rows, report.rows):
+            assert float(t0) == r.t0 and float(phi) == r.phi
+            assert int(x0_index) == r.x0_index and exceeded == str(int(r.exceeded))
 
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KFLOW_OUTPUT_ROOT", str(tmp_path))

@@ -1,6 +1,5 @@
 """Diagnostics tests: integral functionals against closed forms, decay and
-bound checks on synthetic series, the pointwise evolution residual, and
-series CSV IO."""
+bound checks on synthetic series, and the pointwise evolution residual."""
 
 import numpy as np
 import pytest
@@ -8,16 +7,13 @@ import pytest
 from kflow.ambient import get_model
 from kflow.diagnostics import (
     DiagnosticsRecord,
-    SERIES_HEADER,
     check_angle_decay,
     check_l1_bound,
     check_l2_unit_intervals,
     check_symplectic_area,
     evolution_residual,
-    read_series,
     record,
     summarize,
-    write_series,
 )
 from kflow.flow import FlowConfig, FlowState, step
 from kflow.immersion import compute_geometry
@@ -206,16 +202,3 @@ class TestEvolutionResidual:
         polar = max(res[:, :3].max(), res[:, -3:].max())
         assert polar <= 5 * res[:, 3:-3].max()
 
-
-def test_series_roundtrip(tmp_path):
-    grid = _tilted_plane(0.4)  # positive cos(alpha): V stays finite
-    r0 = record(grid, t=0.0)
-    r1 = record(grid, t=0.125, prev=r0)
-    path = tmp_path / "series.csv"
-    write_series(path, [r0, r1])
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(SERIES_HEADER)
-    back = read_series(path)
-    assert len(back) == 2
-    for field in ("t", "area", "symp_area", "V", "L2H", "supA", "cumL1H"):
-        assert getattr(back[1], field) == pytest.approx(getattr(r1, field), rel=1e-12)

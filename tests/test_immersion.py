@@ -16,7 +16,6 @@ from kflow.errors import DegenerateImmersionError
 from kflow.immersion import (
     _D1,
     _D2,
-    _OFFS,
     SNAPSHOT_FORMAT,
     GridGeometry,
     SurfaceGrid,
@@ -283,7 +282,7 @@ def test_snapshot_roundtrip(tmp_path):
     assert json.loads(path.read_text())["format"] == SNAPSHOT_FORMAT
 
 
-def _snapshot_doc(grid, t=None):
+def _snapshot_doc(grid, t):
     """The whole snapshot as one dict, in the key order of the format."""
     doc = {
         "format": SNAPSHOT_FORMAT,
@@ -298,8 +297,7 @@ def _snapshot_doc(grid, t=None):
         doc["model_periods"] = grid.model.periods.tolist()
     if grid.period_offsets is not None:
         doc["period_offsets"] = grid.period_offsets.tolist()
-    if t is not None:
-        doc["t"] = float(t)
+    doc["t"] = float(t)
     return doc
 
 
@@ -320,7 +318,8 @@ def _snapshot_grids():
     return grids
 
 
-@pytest.mark.parametrize("t", [None, 0.625], ids=["no-t", "t"])
+# t = 0.0 is every run's first snapshot
+@pytest.mark.parametrize("t", [0.0, 0.625], ids=["t-zero", "t"])
 @pytest.mark.parametrize("index", range(3), ids=["sphere", "cp2-three-charts", "t4-offsets"])
 def test_save_grid_bytes_are_json_dumps_of_the_document(tmp_path, index, t):
     grid = _snapshot_grids()[index]
@@ -471,7 +470,7 @@ def gathered_partials(grid: SurfaceGrid):
         sums[k] += c * x
         mags[k] += abs(c) * np.abs(x)
 
-    for off, c1, c2 in zip(_OFFS, _D1, _D2):
+    for off, c1, c2 in zip(range(-3, 4), _D1, _D2):
         nb = grid.coords if off == 0 else gather_neighbor_coords(grid, off, 0)
         if c1 != 0.0:
             add(0, c1, nb)
@@ -480,8 +479,8 @@ def gathered_partials(grid: SurfaceGrid):
         if c1 != 0.0:
             add(1, c1, nb)
         add(4, c2, nb)
-    for oa, ca in zip(_OFFS, _D1):
-        for ob, cb in zip(_OFFS, _D1):
+    for oa, ca in zip(range(-3, 4), _D1):
+        for ob, cb in zip(range(-3, 4), _D1):
             if ca != 0.0 and cb != 0.0:
                 add(3, ca * cb, gather_neighbor_coords(grid, oa, ob))
     scales = (du, dv, du**2, du * dv, dv**2)
