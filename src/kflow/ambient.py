@@ -87,6 +87,7 @@ class AmbientModel:
     n_charts: int
     injectivity_radius_bound: float
     is_flat: bool
+    scalar_curvature: float
 
     # -- chart bookkeeping ------------------------------------------------
 
@@ -116,21 +117,6 @@ class AmbientModel:
         """g(u, w) = g_ij u^i w^j."""
         raise NotImplementedError
 
-    # -- tensors ----------------------------------------------------------
-    #
-    # Like the contractions, the same formulas in every chart: they take
-    # coordinates alone.
-
-    def metric(self, x):
-        raise NotImplementedError
-
-    def christoffel(self, x):
-        raise NotImplementedError
-
-    def curvature(self, x):
-        """(riemann R_{abcd}, ricci, scalar) at each point of the batch."""
-        raise NotImplementedError
-
     # -- geodesics --------------------------------------------------------
 
     def exp(self, x, chart, v):
@@ -140,9 +126,6 @@ class AmbientModel:
     def log(self, p: ChartPoint, q: ChartPoint) -> np.ndarray:
         """Components, in p's chart, of the tangent vector v at p with
         exp(p, v) = q."""
-        raise NotImplementedError
-
-    def distance(self, x1, chart1, x2, chart2):
         raise NotImplementedError
 
     def lift(self, x, chart, origin):
@@ -156,10 +139,6 @@ class AmbientModel:
         raise NotImplementedError
 
     # -- misc -------------------------------------------------------------
-
-    @property
-    def scalar_curvature(self):
-        raise NotImplementedError
 
     @property
     def einstein_constant(self):
@@ -177,38 +156,20 @@ class AmbientModel:
 
 
 class _FlatModel(AmbientModel):
-    """Shared behaviour of the two flat models (identity metric, zero
-    connection and curvature, straight geodesics)."""
+    """Shared behaviour of the two flat models: the Euclidean `inner`, the
+    zero `connection` (so Ric = 0, as `kflow verify` checks), straight
+    geodesics and one chart."""
 
     is_flat = True
     n_charts = 1
 
-    @property
-    def scalar_curvature(self):
-        return 0.0
+    scalar_curvature = 0.0
 
     def connection(self, x, u, w):
         return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(w)))
 
     def inner(self, x, u, w):
         return _dot(u, w)
-
-    def metric(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
-
-    def christoffel(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape[:-1] + (4, 4, 4))
-
-    def curvature(self, x):
-        x = np.asarray(x)
-        lead = x.shape[:-1]
-        return (
-            np.zeros(lead + (4, 4, 4, 4)),
-            np.zeros(lead + (4, 4)),
-            np.zeros(lead),
-        )
 
     # One chart: points are coordinates in R⁴, to_chart copies, and no node
     # ever changes chart.
@@ -225,13 +186,6 @@ class _FlatModel(AmbientModel):
     def exp(self, x, chart, v):
         x = np.asarray(x, dtype=float)
         return x + np.asarray(v, dtype=float), np.zeros(x.shape[:-1], dtype=int)
-
-    def distance(self, x1, chart1, x2, chart2):
-        """|x2 - x1|, to the nearest lattice image on T⁴."""
-        d = np.asarray(x2, dtype=float) - np.asarray(x1, dtype=float)
-        if hasattr(self, "min_image"):
-            d = self.min_image(d)
-        return np.linalg.norm(d, axis=-1)
 
     def lift(self, x, chart, origin):
         return np.asarray(x, dtype=float) - origin
@@ -265,7 +219,7 @@ class FlatC2(_FlatModel):
 class FlatT4(_FlatModel):
     """Flat 4-torus R⁴/Λ with a rectangular lattice of periods.  Points keep
     coordinates in R⁴ and surfaces are lifts closed by period offsets in Λ;
-    only `log` and `distance` reduce by the lattice."""
+    only `log` and `sq_distances` reduce by the lattice."""
 
     name = "flat-T4"
 
@@ -297,12 +251,14 @@ class FubiniStudyCP2(AmbientModel):
 
     The metric comes from the Kähler potential log(1 + |z|²) with the real
     normalization g(U, V) = Re(g_{i jbar} u^i conj(v^j)), which makes the
-    metric at each chart origin the identity.  Connection, curvature,
-    geodesics and distance are closed forms: the Kähler connection
-    Gamma^k_ij = -(delta^k_i zbar_j + delta^k_j zbar_i) / (1 + |z|²), and
+    metric at each chart origin the identity.  Connection, geodesics and
+    distances are closed forms: the Kähler connection
+    Gamma^k_ij = -(delta^k_i zbar_j + delta^k_j zbar_i) / (1 + |z|²),
     geodesics as horizontal great circles of the unit sphere S⁵ in C³ pushed
-    down by the Hopf map.  The (constant) scalar curvature is computed from
-    the connection on first use and stored; tests compare against this
+    down by the Hopf map, and distances as angles between the unit lifts in
+    C³.  The (constant) scalar curvature is computed from the analytic
+    derivative of the Christoffel symbols on first use and stored; `kflow
+    verify` checks it against `connection`, and tests compare against this
     stored value, never a literature constant.
     """
 
@@ -417,11 +373,7 @@ class FubiniStudyCP2(AmbientModel):
         xu, jxu, xw, jxw, d = self._hermitian(x, u, w)
         return _dot(u, w) / d - (xu * xw + jxu * jxw) / d**2
 
-    # -- tensors: the contractions with coordinate basis vectors ----------
-
-    def metric(self, x):
-        basis = np.eye(4)
-        return self.inner(np.asarray(x)[..., None, None, :], basis[:, None, :], basis)
+    # -- the stored scalar curvature: Gamma and its analytic derivative ----
 
     def christoffel(self, x):
         """Gamma^k_ij indexed [..., k, i, j]."""
@@ -430,6 +382,7 @@ class FubiniStudyCP2(AmbientModel):
         return np.moveaxis(gamma, -1, -3)
 
     def curvature(self, x):
+        """(ricci R_ac, scalar) at each point of the batch."""
         x = np.asarray(x, dtype=float)
         gamma = self.christoffel(x)
         # Differentiating Gamma^k_ij = -(x_j d_ki + (Jx)_j J_ki + x_i d_kj
@@ -439,23 +392,22 @@ class FubiniStudyCP2(AmbientModel):
         d = (1.0 + np.sum(x * x, axis=-1))[..., None, None, None, None]
         dx = 2.0 * x[..., :, None, None, None] * gamma[..., None, :, :, :]
         dgamma = -(t + np.swapaxes(t, -1, -2) + dx) / d
-        # R(e_a, e_b) e_c = Rup[..., u, c, a, b] e_u
-        rup = (
-            np.einsum("...aubc->...ucab", dgamma)
-            - np.einsum("...buac->...ucab", dgamma)
-            + np.einsum("...uam,...mbc->...ucab", gamma, gamma)
-            - np.einsum("...ubm,...mac->...ucab", gamma, gamma)
+        # Ric(e_a, e_c) = sum_u [R(e_u, e_a) e_c]^u
+        ricci = (
+            np.einsum("...uuac->...ac", dgamma)
+            - np.einsum("...auuc->...ac", dgamma)
+            + np.einsum("...uum,...mac->...ac", gamma, gamma)
+            - np.einsum("...uam,...muc->...ac", gamma, gamma)
         )
-        g = self.metric(x)
-        riemann = np.einsum("...ud,...ucab->...abcd", g, rup)
-        ricci = np.einsum("...ucua->...ac", rup)
+        basis = np.eye(4)
+        g = self.inner(x[..., None, None, :], basis[:, None, :], basis)
         scalar = np.einsum("...ac,...ac->...", np.linalg.inv(g), ricci)
-        return riemann, ricci, scalar
+        return ricci, scalar
 
     @cached_property
     def scalar_curvature(self):
         origin = np.zeros((1, 4))
-        _, _, scal = self.curvature(origin)
+        _, scal = self.curvature(origin)
         return float(scal[0])
 
     # -- geodesics --------------------------------------------------------
@@ -493,15 +445,6 @@ class FubiniStudyCP2(AmbientModel):
         w = psi_q * (np.conj(inner) / cos_d) - cos_d * psi_p
         d = np.arctan2(np.linalg.norm(w), cos_d)
         return self._push_down(psi_p, w / np.sinc(d / np.pi), p.chart_id)
-
-    def distance(self, x1, chart1, x2, chart2):
-        h1 = self._homogeneous(to_complex(np.asarray(x1, dtype=float)), chart1)
-        h2 = self._homogeneous(to_complex(np.asarray(x2, dtype=float)), chart2)
-        # einsum forms <h1, conj h2> without a broadcast (..., 3) product
-        inner = np.abs(np.einsum("...k,...k->...", h1, np.conj(h2)))
-        n1 = np.linalg.norm(h1, axis=-1)
-        n2 = np.linalg.norm(h2, axis=-1)
-        return np.arccos(np.clip(inner / (n1 * n2), -1.0, 1.0))
 
     def lift(self, x, chart, origin):
         """Unit lifts psi = h/|h| in C³ of the homogeneous coordinates."""

@@ -6,7 +6,7 @@ snapshots/t_<index>.json, monitor.csv when density monitoring is on, and
 error.json when anything failed.
 
 Exit codes: 0 converged or reached t_end; 1 configuration or input error;
-2 blow-up flagged; 3 degenerate grid.
+2 blow-up flagged or unstable; 3 degenerate grid.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .flow import FlowConfig, run
 from .immersion import load_grid, save_grid
 from .surfaces import build_surface
 
-_EXIT_BY_STOP = {"converged": 0, "reached-t-end": 0, "blowup-flag": 2, "degenerate-grid": 3}
+_EXIT_BY_STOP = {"converged": 0, "reached-t-end": 0, "blowup-flag": 2, "unstable": 2, "degenerate-grid": 3}
 
 
 def _output_dir(resolved):
@@ -117,6 +117,7 @@ def execute_run(resolved, out_dir: Path):
     summary = {
         "stop_reason": result.stop_reason,
         "holomorphicity_gap": result.holomorphicity_gap,
+        "max_area_rise": result.max_area_rise,
         "runtime_seconds": runtime,
         "steps": result.state.step_index,
         "t_final": result.state.t,

@@ -38,11 +38,14 @@ from .errors import ConfigError, DegenerateImmersionError, check_kind
 from .immersion import MeanCurvature, SurfaceGrid, compute_geometry, compute_mean_curvature, d2_symbol
 
 # dt = CFL_FACTOR * h_res^2; not a setting.  0.8 times the 2-D D2 symbol
-# (12.09) is 70 % of _REAL_LIMIT.  At 1.0 (87 %) a perturbed-cp1 64x32 run
-# reaches sup|A| 3.98 and never converges.  On a 32x32 T⁴ torus graph run to
-# t = 0.5, 0.8 to 1.2 end with sup|A| 0.171, 1.5 with 6.52 after 920 steps,
-# and 2.0 flags blow-up on a surface that converges to flat.
+# (12.09) is 70 % of _REAL_LIMIT.  Above it a run can go unstable below the
+# blow-up threshold: at 1.0 a perturbed-cp1 64x32 run, at 1.5 a 32x32 T⁴
+# torus graph (2.0 flags blow-up on a surface that converges to flat).
 CFL_FACTOR = 0.8
+# Largest area rise between records, relative to the initial area, before a
+# run stops `unstable` (the flow decreases area): unchecked, those two runs
+# rise by up to 1.9e-4 and 2.2e-3, stable runs at 0.8 by at most 4.6e-11.
+AREA_RISE_BOUND = 1e-6
 # Largest real |z| with |R(z)| <= 1 for SSPRK(10,4).
 _REAL_LIMIT = 13.917
 # Fraction of the stability budget the zonal filter allows a kept mode.
@@ -85,9 +88,10 @@ class FlowState:
 class FlowResult:
     records: list[DiagnosticsRecord]
     snapshots: list[tuple[SurfaceGrid, float]]
-    stop_reason: str  # reached-t-end | converged | blowup-flag | degenerate-grid
+    stop_reason: str  # reached-t-end | converged | blowup-flag | unstable | degenerate-grid
     state: FlowState
     holomorphicity_gap: float | None = None
+    max_area_rise: float = 0.0  # relative to the initial area; 0 if it never rose
 
 
 def resolved_spacing(grid: SurfaceGrid, vel: MeanCurvature) -> float:
@@ -213,7 +217,8 @@ def step(state: FlowState, config: FlowConfig, vel: MeanCurvature | None = None)
 
 def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     """Advance the flow until it reaches t_end, converges (max|H| below
-    converged_H_tol), is flagged (sup|A| above the blow-up threshold) or
+    converged_H_tol), is flagged (sup|A| above the blow-up threshold), goes
+    unstable (area rising by more than AREA_RISE_BOUND between records) or
     degenerates.  The run ends on a record and a snapshot of the state it
     stopped at, unless that state's geometry raised DegenerateImmersionError."""
     state = FlowState(grid=initial.copy())
@@ -221,6 +226,7 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
     records = []
     threshold = config.blowup_threshold
     stop = None
+    max_rise = 0.0
     try:
         vel = compute_mean_curvature(state.grid)
         while True:
@@ -231,13 +237,17 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
             if stop or state.step_index % config.diagnostics_stride == 0:
                 geom = compute_geometry(state.grid, vel)
                 rec = record(state.grid, state.t, geom=geom, prev=records[-1] if records else None)
+                rise = (rec.area - records[-1].area) / records[0].area if records else 0.0
                 records.append(rec)
+                max_rise = max(max_rise, rise)
                 if threshold is None:
                     threshold = 1e3 / np.sqrt(rec.area)
                 if not np.isfinite(rec.area):
                     stop = "degenerate-grid"
                 elif rec.supA > threshold:
                     stop = "blowup-flag"
+                elif rise > AREA_RISE_BOUND:
+                    stop = "unstable"
             if state.step_index and (stop or state.step_index % config.snapshot_stride == 0):
                 snapshots.append((state.grid.copy(), state.t))
             if stop:
@@ -249,4 +259,4 @@ def run(initial: SurfaceGrid, config: FlowConfig) -> FlowResult:
         stop = "degenerate-grid"
     # a run that converged or reached t_end ends on a record of its final state
     gap = 1.0 - records[-1].min_cos_alpha if stop in ("converged", "reached-t-end") else None
-    return FlowResult(records, snapshots, stop, state, holomorphicity_gap=gap)
+    return FlowResult(records, snapshots, stop, state, holomorphicity_gap=gap, max_area_rise=max_rise)

@@ -4,7 +4,8 @@ inequalities, a homological oracle and density closed-form oracles.
 The ambient checks run the contractions the flow runs (`inner`,
 `connection`, `apply_J`) on random vectors at random points: together they
 say that the flow's connection is the Levi-Civita connection of a Kähler
-metric.  `check_einstein` reads the curvature tensors.
+metric.  `check_einstein` reads the Ricci curvature off `connection` by
+finite differences.
 
 Each check returns (name, passed, detail).  `run_battery("quick")` keeps
 everything under a minute; "full" adds the evolution-residual refinement
@@ -56,6 +57,21 @@ def check_parallel_J(model):
     return f"{model.name}: parallel J (exact)", err < 1e-12, f"max err {err:.2e}"
 
 
+def _central_difference(f, h):
+    """4th-order central difference at 0 of f(s), with step h."""
+    return (-f(2 * h) + 8 * f(h) - 8 * f(-h) + f(-2 * h)) / (12 * h)
+
+
+def _converges(name, residual):
+    """(name, passed, detail) of residual(h) at h = 0.02 and 0.01: exact
+    below 1e-11, else passed at observed order >= 3.5."""
+    errs = [residual(h) for h in (0.02, 0.01)]
+    if errs[0] < 1e-11:
+        return name, True, f"residual {errs[0]:.2e} (exact)"
+    order = float(np.log(errs[0] / errs[1]) / np.log(2.0))  # the step halves
+    return name, order >= 3.5, f"residuals {errs[0]:.2e} -> {errs[1]:.2e}, order {order:.2f}"
+
+
 def check_metric_compatibility(model):
     """d_e g(u, w) = g(Gamma(e, u), w) + g(u, Gamma(e, w)) for constant
     u, w: with symmetry this makes `connection` the Levi-Civita connection
@@ -65,23 +81,30 @@ def check_metric_compatibility(model):
     xs, u, w, e = _samples(model, n=20)
     rhs = model.inner(xs, model.connection(xs, e, u), w)
     rhs += model.inner(xs, u, model.connection(xs, e, w))
-    errs = []
-    for h in (0.02, 0.01):
-        g = [model.inner(xs + k * h * e, u, w) for k in (2, 1, -1, -2)]
-        lhs = (-g[0] + 8 * g[1] - 8 * g[2] + g[3]) / (12 * h)
-        errs.append(np.abs(lhs - rhs).max())
-    name = f"{model.name}: metric compatibility"
-    if errs[0] < 1e-11:
-        return name, True, f"residual {errs[0]:.2e} (exact)"
-    order = float(np.log(errs[0] / errs[1]) / np.log(2.0))  # the step halves
-    return name, order >= 3.5, f"residuals {errs[0]:.2e} -> {errs[1]:.2e}, order {order:.2f}"
+
+    def residual(h):
+        return np.abs(_central_difference(lambda s: model.inner(xs + s * e, u, w), h) - rhs).max()
+
+    return _converges(f"{model.name}: metric compatibility", residual)
 
 
 def check_einstein(model):
-    xs = _samples(model, n=10)[0]
-    _, ricci, _ = model.curvature(xs)
-    err = np.abs(ricci - (model.scalar_curvature / 4.0) * model.metric(xs)).max()
-    return f"{model.name}: Einstein (Ric = R/4 g)", err < 1e-10, f"max residual {err:.2e}"
+    """Ric(v, w) = einstein_constant g(v, w), Ric read off `connection`
+    alone: Ric(v, w) = sum_i [R(e_i, v) w]^i over the coordinate basis, with
+    R(u, v) w = (D_u Gamma)(v, w) - (D_v Gamma)(u, w) + Gamma(u, Gamma(v, w))
+    - Gamma(v, Gamma(u, w)) and D_u Gamma a 4th-order central difference."""
+    xs, v, w, _ = _samples(model)
+    e = np.eye(4)[:, None, :]  # e_i, broadcast against the samples
+    gamma = model.connection
+    quadratic = gamma(xs, e, gamma(xs, v, w)) - gamma(xs, v, gamma(xs, e, w))
+    want = model.einstein_constant * model.inner(xs, v, w)
+
+    def residual(h):
+        r = _central_difference(lambda s: gamma(xs + s * e, v, w), h) + quadratic
+        r = r - _central_difference(lambda s: gamma(xs + s * v, e, w), h)
+        return np.abs(np.einsum("iki->k", r) - want).max()
+
+    return _converges(f"{model.name}: Einstein (Ric = R/4 g)", residual)
 
 
 def check_exp_log_roundtrip(model):
@@ -204,11 +227,9 @@ def run_battery(level="quick"):
     results = []
     models = [get_model(n) for n in ("flat-C2", "flat-T4", "Fubini-Study-CP2")]
     for m in models:
-        results.append(check_complex_structure(m))
-        results.append(check_parallel_J(m))
-        results.append(check_metric_compatibility(m))
-        results.append(check_einstein(m))
-        results.append(check_exp_log_roundtrip(m))
+        for check in (check_complex_structure, check_parallel_J, check_metric_compatibility,
+                      check_einstein, check_exp_log_roundtrip):
+            results.append(check(m))
     tg = torus_graph(models[1], amplitude=0.2, nu=32, nv=32)
     pc = perturbed_cp1(models[2], delta=0.05, nu=32, nv=16)
     tg_geom, pc_geom = compute_geometry(tg), compute_geometry(pc)

@@ -208,6 +208,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stop_reason"] in ("reached-t-end", "converged")
         assert summary["holomorphicity_gap"] is not None
+        assert summary["max_area_rise"] == 0.0  # the sphere's area only falls
         assert "series_summary" in summary
 
         snaps = sorted((out / "snapshots").glob("t_*.json"))
@@ -306,6 +307,23 @@ class TestRunCommand:
         assert summary["stop_reason"] == "degenerate-grid"
         assert summary["n_records"] == 0
         assert summary["series_summary"] is None
+
+    def test_unstable_run_exits_2(self, tmp_path, monkeypatch):
+        """A step factor past stability makes the area rise between records:
+        the run stops `unstable`, exits 2 and reports the largest rise."""
+        import kflow.flow as flow
+
+        monkeypatch.setattr(flow, "CFL_FACTOR", 1.5)
+        out = tmp_path / "unstable"
+        doc = _base_config(out, t_end=0.5)
+        doc["model"] = "flat-T4"
+        doc["surface"] = {"family": "torus-graph", "params": {}, "nu": 32, "nv": 32}
+        assert main(["run", _write(tmp_path / "unstable.json", doc)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"error": "stop-reason", "message": "unstable"}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "unstable"
+        assert summary["max_area_rise"] > flow.AREA_RISE_BOUND
 
     def test_degenerate_initial_grid_with_the_monitor_exits_3(self, tmp_path):
         """The monitor's calibration meets the degenerate grid before any

@@ -183,13 +183,24 @@ class TestCalibration:
 
 
 def _oracle_distances(grid, xs, cs):
-    """(len(xs), nodes) distances from one broadcast `model.distance` call."""
-    return grid.model.distance(
-        xs[:, None, :],
-        np.asarray(cs)[:, None],
-        grid.coords.reshape(1, -1, 4),
-        grid.chart_ids.reshape(1, -1),
-    )
+    """(len(xs), nodes) distances, elementwise and independent of
+    `lift`/`sq_distances`: on CP² the angle between the homogeneous lines
+    (1 inserted in each point's chart slot), on the flat models the norm
+    of the minimal-image coordinate difference."""
+    model, ys, ds = grid.model, grid.coords.reshape(-1, 4), grid.chart_ids.reshape(-1)
+    if model.is_flat:
+        d = ys[None] - xs[:, None]
+        if hasattr(model, "periods"):
+            d = d - np.round(d / model.periods) * model.periods
+        return np.linalg.norm(d, axis=-1)
+
+    def unit_lines(x, charts):
+        z = x[:, 0::2] + 1j * x[:, 1::2]
+        h = np.array([np.insert(zk, c, 1.0) for zk, c in zip(z, np.broadcast_to(charts, len(x)))])
+        return h / np.linalg.norm(h, axis=-1, keepdims=True)
+
+    cos = np.abs(np.sum(unit_lines(xs, cs)[:, None] * np.conj(unit_lines(ys, ds))[None], axis=-1))
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def _oracle_kernel(d, r, tau):

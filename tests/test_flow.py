@@ -10,7 +10,7 @@ import pytest
 from kflow.ambient import get_model, to_complex
 from kflow.density import calibrate_r0, monitor_regularity
 from kflow.errors import ConfigError
-from kflow.flow import CFL_FACTOR, FlowConfig, FlowState, resolved_spacing, run, step
+from kflow.flow import AREA_RISE_BOUND, CFL_FACTOR, FlowConfig, FlowState, resolved_spacing, run, step
 from kflow.immersion import compute_mean_curvature
 from kflow.surfaces import build_surface
 
@@ -242,6 +242,31 @@ def test_time_order_is_four(monkeypatch):
         finals.append(result.state.grid.coords)
     coarse, fine = (np.abs(a - b).max() for a, b in zip(finals, finals[1:]))
     assert np.log2(coarse / fine) >= 3.5
+
+
+@pytest.mark.parametrize(
+    "factor, family, params, nu, nv, t_end",
+    [
+        (1.5, "torus-graph", {}, 32, 32, 0.5),
+        (1.0, "perturbed-cp1", {"delta": 0.05}, 48, 24, 5.0 / 6.0),
+    ],
+    ids=["T4-32x32-at-1.5", "cp1-48x24-at-1.0"],
+)
+def test_unstable_step_stops_the_run(monkeypatch, factor, family, params, nu, nv, t_end):
+    """Above the stable step factor the area rises between records (by
+    2.2e-3 and 3.7e-6 of the initial area) and the run stops `unstable`;
+    unchecked, both runs reach t_end with sup|A| far below the blow-up
+    threshold."""
+    import kflow.flow as flow
+
+    monkeypatch.setattr(flow, "CFL_FACTOR", factor)
+    model = T4 if family == "torus-graph" else CP2
+    result = run(build_surface(family, model, nu=nu, nv=nv, **params), FlowConfig(t_end=t_end))
+    assert result.stop_reason == "unstable"
+    assert result.state.t < t_end and result.holomorphicity_gap is None
+    rises = np.diff([r.area for r in result.records]) / result.records[0].area
+    assert result.max_area_rise == rises.max() == rises[-1] > AREA_RISE_BOUND
+    assert result.snapshots[-1][1] == result.state.t
 
 
 def test_step_recharts_nodes_past_the_transition_radius():

@@ -39,6 +39,12 @@ T4 = get_model("flat-T4")
 CP2 = get_model("Fubini-Study-CP2")
 
 
+def _gram(model, x):
+    """The metric's (..., 4, 4) Gram matrix: `inner` on coordinate basis vectors."""
+    basis = np.eye(4)
+    return model.inner(x[..., None, None, :], basis[:, None, :], basis)
+
+
 def _tilted_plane(theta, nu=16, nv=16):
     """Plane spanned by dx1 and cos(theta) dy1 + sin(theta) dx2:
     constant Kähler angle with cos(alpha) = cos(theta)."""
@@ -229,7 +235,7 @@ def test_frame_rotation_leaves_scalars_invariant():
 def test_adapted_frame_is_orthonormal():
     grid = build_surface("perturbed-cp1", CP2, delta=0.05, nu=32, nv=16)
     geom = compute_geometry(grid)
-    G = CP2.metric(grid.coords)
+    G = _gram(CP2, grid.coords)
     gram = np.einsum("...ia,...ab,...jb->...ij", geom.frame, G, geom.frame)
     assert np.abs(gram - np.eye(4)).max() < 1e-10
 
@@ -252,7 +258,7 @@ def test_v2_matches_eps4_oracle(index):
     grid = _frame_test_grids()[index]
     geom = compute_geometry(grid)
     e1, e2, v1, v2 = np.moveaxis(geom.frame, -2, 0)
-    G = grid.model.metric(grid.coords)
+    G = _gram(grid.model, grid.coords)
     w = np.sqrt(np.linalg.det(G))[..., None] * np.einsum("abcd,...a,...b,...c->...d", _EPS4, e1, e2, v1)
     want = np.einsum("...da,...a->...d", np.linalg.inv(G), w)
     want /= np.sqrt(np.einsum("...a,...ab,...b->...", want, G, want))[..., None]
@@ -265,7 +271,7 @@ def test_frame_is_positively_oriented(index):
     complex orientation."""
     grid = _frame_test_grids()[index]
     geom = compute_geometry(grid)
-    G = grid.model.metric(grid.coords)
+    G = _gram(grid.model, grid.coords)
     vol = np.sqrt(np.linalg.det(G)) * np.linalg.det(geom.frame)
     assert np.abs(vol - 1.0).max() < 1e-13
 

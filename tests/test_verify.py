@@ -11,12 +11,14 @@ from kflow.immersion import compute_geometry
 from kflow.surfaces import perturbed_cp1
 from kflow.verify import (
     check_complex_structure,
+    check_einstein,
+    check_exp_log_roundtrip,
     check_metric_compatibility,
     check_parallel_J,
     check_symplectic_degree,
 )
 
-AMBIENT_CHECKS = (check_complex_structure, check_parallel_J, check_metric_compatibility)
+AMBIENT_CHECKS = (check_complex_structure, check_parallel_J, check_metric_compatibility, check_einstein)
 
 
 @pytest.mark.parametrize("name", ["flat-C2", "flat-T4", "Fubini-Study-CP2"])
@@ -24,11 +26,11 @@ def test_ambient_checks_pass_on_the_shipped_models(name):
     model = get_model(name)
     results = [check(model) for check in AMBIENT_CHECKS]
     assert all(ok for _, ok, _ in results), results
-    detail = results[2][2]
-    if model.is_flat:
-        assert detail.endswith("(exact)")
-    else:  # the 4th-order difference of inner converges at its design order
-        assert float(detail.rsplit("order ", 1)[1]) >= 3.5
+    for _, _, detail in results[2:]:
+        if model.is_flat:
+            assert detail.endswith("(exact)")
+        else:  # the 4th-order differences converge at their design order
+            assert float(detail.rsplit("order ", 1)[1]) >= 3.5
 
 
 class _DroppedTerm(FubiniStudyCP2):
@@ -51,7 +53,24 @@ def test_dropped_connection_term_fails_parallel_J_and_compatibility():
     model = _DroppedTerm()
     assert not check_parallel_J(model)[1]
     assert not check_metric_compatibility(model)[1]
+    assert not check_einstein(model)[1]
     assert check_complex_structure(model)[1]
+
+
+class _WrongScalarCurvature(FubiniStudyCP2):
+    """The Fubini-Study contractions with a stored scalar curvature of 23.6
+    (lambda 5.9 in place of 6)."""
+
+    scalar_curvature = 23.6
+
+
+def test_wrong_scalar_curvature_fails_einstein_only():
+    """The residual Ric - lambda g stays at 0.1 g as the step halves."""
+    model = _WrongScalarCurvature()
+    assert model.einstein_constant == 5.9
+    name, ok, detail = check_einstein(model)
+    assert not ok and float(detail.rsplit("order ", 1)[1]) < 0.1
+    assert all(check(model)[1] for check in AMBIENT_CHECKS[:3] + (check_exp_log_roundtrip,))
 
 
 def test_flipped_connection_fails_metric_compatibility():
